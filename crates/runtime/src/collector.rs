@@ -135,11 +135,16 @@ impl Collector {
     /// Records one completed invocation for `provider_id`.
     pub fn record(&self, provider_id: &str, record: ExecutionRecord) {
         let mut map = self.records.write();
-        let ring = map.entry(provider_id.to_string()).or_default();
-        if ring.len() == self.window {
-            ring.pop_front();
+        // Look up by `&str`: the key is allocated only on a provider's
+        // first record, not on every call.
+        if let Some(ring) = map.get_mut(provider_id) {
+            if ring.len() == self.window {
+                ring.pop_front();
+            }
+            ring.push_back(record);
+        } else {
+            map.insert(provider_id.to_owned(), VecDeque::from([record]));
         }
-        ring.push_back(record);
     }
 
     /// Windowed statistics for `provider_id`, or `None` if it has no

@@ -12,8 +12,9 @@
 //!   [`Provider::try_timed_invoke`] and the core schedules the completion
 //!   on its timer heap — or, for providers that must really block
 //!   (capacity limits, foreign clocks, arbitrary closures), a
-//!   [`BlockingTask`] handed to a spawner, which posts the completion back
-//!   to the ready queue when the call returns.
+//!   [`BlockingTask`] run by [`run_blocking`], which posts the completion
+//!   back to the ready queue when the call returns, stamped with the
+//!   instant the call returned.
 //!
 //! One [`EventCore`] can hold any number of concurrent requests; one (or
 //! N) driver threads drain it via [`EventCore::run_loop`] /
@@ -22,22 +23,51 @@
 //! schedule-order)` order — so a single-driver core on a
 //! [`VirtualClock`](crate::VirtualClock) replays bit-identically.
 //!
+//! # Caller-runs blocking legs
+//!
+//! A blocking leg normally goes to a spawner (a pool or scoped thread).
+//! [`EventCore::drive_request`] — the per-request cores of the engine
+//! entry points — keeps one back: when the blocking legs a processing
+//! step hands out are *all* of the request's outstanding work (no other
+//! blocking leg in flight, no timer, no ready event) and are a single leg
+//! or children of one `Par` frame, the driver runs the last of them
+//! itself. No leg can start, and the request cannot resolve, until that
+//! leg returns, so running it on the driver never delays work; it saves a
+//! thread hand-off and a driver wake-up per leaf. A fail-over chain
+//! (`a-b-c`) runs entirely on the driver; a fan-out (`a*b*c`) hands out
+//! all but its last leg. [`EventCore::run_loop`] serves many requests per
+//! driver and never inlines.
+//!
+//! Because the driver may be busy inside an inline leg while a pool
+//! sibling completes, a blocking leg's latency and first-success instant
+//! come from the instant its call returned, read on the leg's own thread
+//! — not from the driver's clock when it gets round to the event.
+//!
 //! # Clock discipline
 //!
 //! The driver holds one worker slot (its caller's [`WorkerGuard`]
 //! (crate::WorkerGuard) or its own). While idle it waits in
 //! [`Clock::sleep_until_or`] — like a sleeper when a timer is armed, like
 //! a passive parent otherwise — so virtual time advances exactly to the
-//! next scheduled completion and never past it. A blocking leaf reserves a
-//! worker slot *before* its task is spawned (so time cannot slip while the
-//! task is in flight to a thread), binds it for the duration of the
-//! provider call, and then leaves the slot **orphaned** — reserved but
-//! unbound — while the completion event travels through the ready queue.
-//! An orphaned slot pins virtual time, which is what makes the latency
-//! and decision timestamps the driver records identical to the ones the
-//! old thread-per-leg walker read on the leg's own thread. The driver
-//! releases the slot after it has processed the completion (and after any
-//! new reservations that processing made).
+//! next scheduled completion and never past it. A handed-out blocking leg
+//! reserves a worker slot *before* its task is spawned (so time cannot
+//! slip while the task is in flight to a thread), binds it for the
+//! duration of the provider call, and then leaves the slot **orphaned** —
+//! reserved but unbound — while the completion event travels through the
+//! ready queue. An orphaned slot pins virtual time, so the driver
+//! processes the completion — and starts whatever follows it — at the
+//! instant the leg returned, exactly as the old thread-per-leg walker did
+//! on the leg's own thread. The driver releases the slot after it has
+//! processed the completion (and after any new reservations that
+//! processing made).
+//!
+//! An inline leg runs on the driver's own slot: no reservation, no
+//! binding, no orphan, so its provider's sleeps count as the driver's.
+//! While it runs, a sibling that completes keeps neither an orphan slot
+//! nor a wake-signal reservation — either would pin virtual time under
+//! the driver's sleeps inside the inline call and deadlock it. Its event
+//! waits in the ready queue, carrying its completion instant, until the
+//! inline leg returns; nothing it could trigger can happen before then.
 
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
@@ -128,14 +158,17 @@ pub(crate) struct RequestSpec<'env> {
 
 /// A leaf invocation that must run on a real thread: the provider either
 /// declined [`Provider::try_timed_invoke`] (capacity limit, foreign clock)
-/// or does not implement it (arbitrary closures). The worker slot for the
-/// task was already reserved when it was created.
+/// or does not implement it (arbitrary closures). A task handed to a
+/// spawner had its worker slot reserved when it was handed out.
 pub(crate) struct BlockingTask {
     req: u64,
     parent: Option<(usize, usize)>,
     provider_index: usize,
     provider: Arc<dyn Provider>,
     invocation: Invocation,
+    /// Run by the driver itself on its own worker slot (see the module
+    /// docs' caller-runs rule).
+    inline: bool,
 }
 
 impl std::fmt::Debug for BlockingTask {
@@ -147,30 +180,42 @@ impl std::fmt::Debug for BlockingTask {
     }
 }
 
-/// Runs a [`BlockingTask`] to completion on the calling thread: binds the
-/// reserved worker slot, invokes the provider (catching panics), unbinds,
-/// and posts the completion event. The slot stays reserved — orphaned —
-/// until the driver processes the event, pinning virtual time at the
-/// completion instant.
+/// Runs a [`BlockingTask`] to completion on the calling thread: invokes
+/// the provider (catching panics) and posts the completion event, stamped
+/// with the instant the call returned. A handed-out task binds its
+/// reserved worker slot for the call and then leaves it reserved —
+/// orphaned — until the driver processes the event, pinning virtual time
+/// at the completion instant. An inline task runs on the driver's own
+/// slot.
 pub(crate) fn run_blocking(core: &EventCore<'_>, task: BlockingTask) {
     let clock = core.clock();
-    clock.adopt_worker();
+    if !task.inline {
+        clock.adopt_worker();
+    }
     let t0 = clock.now();
     let result = catch_unwind(AssertUnwindSafe(|| task.provider.invoke(&task.invocation)));
-    clock.disown_worker();
+    let returned = clock.now();
+    if !task.inline {
+        clock.disown_worker();
+    }
     let result = match result {
         Ok(outcome) => LeafOutcome::Completed(outcome),
         Err(panic) => LeafOutcome::Panicked(panic),
     };
-    core.post_leaf(LeafEvent {
-        req: task.req,
-        parent: task.parent,
-        provider_index: task.provider_index,
-        t0,
-        declared: None,
-        result,
-        orphan_slot: true,
-    });
+    core.post_leaf(
+        LeafEvent {
+            req: task.req,
+            parent: task.parent,
+            provider_index: task.provider_index,
+            timing: LeafTiming::Returned {
+                latency: returned.saturating_sub(t0),
+                at: returned,
+            },
+            result,
+            orphan_slot: !task.inline,
+        },
+        task.inline,
+    );
 }
 
 /// What a completed leaf reports back.
@@ -179,20 +224,31 @@ enum LeafOutcome {
     Panicked(PanicPayload),
 }
 
+/// How a leaf completion is timed.
+enum LeafTiming {
+    /// A timed leg: the latency the provider declared; the completion
+    /// instant is the driver's `now` when the timer fires. The declared
+    /// value must be carried: the timer deadline is
+    /// `t0.saturating_add(latency)`, and once that clamps (a deadline at
+    /// the far end of `Duration`), `now - t0` under-reports by `t0` —
+    /// records, histograms, and the policy would see a latency the
+    /// provider never declared.
+    Declared(Duration),
+    /// A blocking leg: its measured latency and the instant its call
+    /// returned, both read on the leg's own thread. The driver may process
+    /// the event later (it can be busy inside an inline sibling); these
+    /// keep the leg's latency and first-success decision true. Under an
+    /// orphan slot on a [`VirtualClock`](crate::VirtualClock) `at` equals
+    /// the driver's `now`.
+    Returned { latency: Duration, at: Duration },
+}
+
 /// A leaf completion travelling to the driver.
 struct LeafEvent {
     req: u64,
     parent: Option<(usize, usize)>,
     provider_index: usize,
-    t0: Duration,
-    /// The latency the provider declared for a timed leaf. Blocking legs
-    /// (`None`) measure `now - t0` on the driver instead. Timed legs must
-    /// carry the declared value: their timer deadline is
-    /// `t0.saturating_add(latency)`, and once that clamps (a deadline at
-    /// the far end of `Duration`), `now - t0` under-reports by `t0` —
-    /// records, histograms, and the policy would see a latency the
-    /// provider never declared.
-    declared: Option<Duration>,
+    timing: LeafTiming,
     result: LeafOutcome,
     /// Whether a reserved-but-unbound worker slot rides with this event
     /// (blocking legs only); the driver releases it after processing.
@@ -327,12 +383,18 @@ struct CoreState<'env> {
     frames_live: usize,
     frames_peak: usize,
     shutdown: bool,
+    /// Blocking legs handed out whose completions are not yet posted.
+    blocking_out: usize,
+    /// The driver is running an inline leg.
+    inline_leg: bool,
 }
 
 /// Everything processing defers to after the core lock is released.
 #[derive(Default)]
 struct Deferred<'env> {
     spawns: Vec<BlockingTask>,
+    /// The leg the driver runs itself, after the spawns.
+    inline: Option<BlockingTask>,
     dones: Vec<(DoneFn<'env>, RequestResult)>,
     tasks: Vec<TaskFn<'env>>,
     release_slots: usize,
@@ -393,6 +455,8 @@ impl<'env> EventCore<'env> {
                 frames_live: 0,
                 frames_peak: 0,
                 shutdown: false,
+                blocking_out: 0,
+                inline_leg: false,
             }),
             signal: AtomicBool::new(false),
         }
@@ -424,7 +488,35 @@ impl<'env> EventCore<'env> {
     /// a request whose whole tree resolves synchronously (e.g. a
     /// pre-tripped budget) has its `done` callback run before this
     /// returns.
-    pub(crate) fn submit(&self, spec: RequestSpec<'env>, spawn: &dyn Fn(BlockingTask)) -> u64 {
+    pub(crate) fn submit(&self, spec: RequestSpec<'env>, spawn: &dyn Fn(BlockingTask)) {
+        self.admit(spec, spawn, false);
+        self.wake();
+    }
+
+    /// Admits a request and drives the core until it resolves, the
+    /// calling thread acting as the driver (it should hold a worker slot
+    /// on the clock). Blocking legs follow the caller-runs rule (see the
+    /// module docs): the driver runs a request's last outstanding leg
+    /// itself.
+    pub(crate) fn drive_request(&self, spec: RequestSpec<'env>, spawn: &dyn Fn(BlockingTask)) {
+        let req = self.admit(spec, spawn, true);
+        while self.step(spawn, true, &|state| !state.requests.contains_key(&req)) {}
+    }
+
+    /// Drives the core until [`EventCore::shutdown`] is called. This is
+    /// the gateway's event-loop thread body.
+    pub(crate) fn run_loop(&self, spawn: &dyn Fn(BlockingTask)) {
+        while self.step(spawn, false, &|state| state.shutdown) {}
+    }
+
+    /// Registers a request and starts its root node; `caller_runs` lets
+    /// the calling driver keep a leg for itself.
+    fn admit(
+        &self,
+        spec: RequestSpec<'env>,
+        spawn: &dyn Fn(BlockingTask),
+        caller_runs: bool,
+    ) -> u64 {
         let mut deferred = Deferred::default();
         let req;
         {
@@ -456,23 +548,11 @@ impl<'env> EventCore<'env> {
                     },
                 );
                 self.start_node(&mut state, &mut deferred, req, Vec::new(), None);
+                self.hand_out(&mut state, &mut deferred, caller_runs);
             }
         }
         self.flush(deferred, spawn);
-        self.wake();
         req
-    }
-
-    /// Drives the core until request `req` resolves. The calling thread is
-    /// the driver: it should hold a worker slot on the clock.
-    pub(crate) fn drive_request(&self, req: u64, spawn: &dyn Fn(BlockingTask)) {
-        while self.step(spawn, &|state| !state.requests.contains_key(&req)) {}
-    }
-
-    /// Drives the core until [`EventCore::shutdown`] is called. This is
-    /// the gateway's event-loop thread body.
-    pub(crate) fn run_loop(&self, spawn: &dyn Fn(BlockingTask)) {
-        while self.step(spawn, &|state| state.shutdown) {}
     }
 
     /// Queues an embedder thunk on the ready queue.
@@ -545,21 +625,34 @@ impl<'env> EventCore<'env> {
 
     /// Posts a leaf completion from a blocking task's thread. If the core
     /// has shut down the event is dropped and its orphan slot released
-    /// here, so an abandoned in-flight leg cannot freeze the clock.
-    fn post_leaf(&self, event: LeafEvent) {
-        let release_now = {
+    /// here, so an abandoned in-flight leg cannot freeze the clock. While
+    /// the driver runs an inline leg (`inline` marks that leg's own
+    /// completion), the event is queued for it without pinning the clock:
+    /// the leg releases its slot here and the driver, busy, needs no wake.
+    fn post_leaf(&self, mut event: LeafEvent, inline: bool) {
+        let (release_now, wake) = {
             let mut state = self.state.lock();
+            state.blocking_out -= 1;
             if state.shutdown {
-                event.orphan_slot
+                (event.orphan_slot, true)
+            } else if state.inline_leg {
+                if inline {
+                    state.inline_leg = false;
+                }
+                let orphan = std::mem::take(&mut event.orphan_slot);
+                state.ready.push_back(Event::Leaf(event));
+                (orphan, false)
             } else {
                 state.ready.push_back(Event::Leaf(event));
-                false
+                (false, true)
             }
         };
         if release_now {
             self.clock().release_worker();
         }
-        self.wake();
+        if wake {
+            self.wake();
+        }
     }
 
     /// Signals the drivers that new events exist. The first signal in a
@@ -600,7 +693,12 @@ impl<'env> EventCore<'env> {
 
     /// One driver iteration: process a ready event, else a due timer, else
     /// wait. Returns `false` once `stop` holds.
-    fn step(&self, spawn: &dyn Fn(BlockingTask), stop: &dyn Fn(&CoreState<'env>) -> bool) -> bool {
+    fn step(
+        &self,
+        spawn: &dyn Fn(BlockingTask),
+        caller_runs: bool,
+        stop: &dyn Fn(&CoreState<'env>) -> bool,
+    ) -> bool {
         let mut deferred = Deferred::default();
         {
             let mut state = self.state.lock();
@@ -619,6 +717,7 @@ impl<'env> EventCore<'env> {
             };
             if let Some(event) = event {
                 self.process_event(&mut state, &mut deferred, event);
+                self.hand_out(&mut state, &mut deferred, caller_runs);
                 drop(state);
                 self.flush(deferred, spawn);
                 return true;
@@ -646,6 +745,42 @@ impl<'env> EventCore<'env> {
         true
     }
 
+    /// Hands out the blocking legs processing started. Under `caller_runs`
+    /// the last is kept for the driver when the legs are all of the
+    /// outstanding work — nothing else in flight, no timer, no ready event
+    /// — and share one parent frame (a single leg, or children of one
+    /// `Par`: a `Seq` frame never has two legs out at once). Every other
+    /// leg gets its worker slot reserved *now*, under the core lock, so the
+    /// clock cannot advance before the leg's thread binds it — the same
+    /// reserve-before-spawn discipline as the old walker.
+    fn hand_out(
+        &self,
+        state: &mut CoreState<'env>,
+        deferred: &mut Deferred<'env>,
+        caller_runs: bool,
+    ) {
+        let legs = &mut deferred.spawns;
+        let parent_frame = |leg: &BlockingTask| leg.parent.map(|(frame, _)| frame);
+        if caller_runs
+            && state.blocking_out == 0
+            && state.ready.is_empty()
+            && state.timers.is_empty()
+            && legs.last().is_some_and(|last| {
+                legs.iter()
+                    .all(|leg| parent_frame(leg) == parent_frame(last))
+            })
+        {
+            let mut leg = legs.pop().expect("checked non-empty");
+            leg.inline = true;
+            state.inline_leg = true;
+            deferred.inline = Some(leg);
+        }
+        for _ in &deferred.spawns {
+            self.clock().reserve_worker();
+        }
+        state.blocking_out += deferred.spawns.len() + usize::from(deferred.inline.is_some());
+    }
+
     fn flush(&self, deferred: Deferred<'env>, spawn: &dyn Fn(BlockingTask)) {
         // Orphan slots are released only after processing (and after any
         // new reservations processing made), so virtual time never runs
@@ -661,6 +796,13 @@ impl<'env> EventCore<'env> {
         }
         for task in deferred.spawns {
             spawn(task);
+        }
+        if let Some(task) = deferred.inline {
+            // An armed wake signal holds a clock slot that would pin
+            // virtual time under the leg's sleeps; the driver is busy, so
+            // nothing needs waking until it returns to its loop.
+            self.disarm();
+            run_blocking(self, task);
         }
     }
 
@@ -698,13 +840,10 @@ impl<'env> EventCore<'env> {
                     return;
                 };
                 let provider = Arc::clone(&request.providers[event.provider_index]);
-                let now = clock.now();
-                // Timed legs report the latency the provider declared; on
-                // an unclamped virtual clock `now - t0` equals it exactly,
-                // but a saturated deadline would silently shrink it by t0.
-                let latency = event
-                    .declared
-                    .unwrap_or_else(|| now.saturating_sub(event.t0));
+                let (latency, completed) = match event.timing {
+                    LeafTiming::Declared(latency) => (latency, clock.now()),
+                    LeafTiming::Returned { latency, at } => (latency, at),
+                };
                 let success = result.is_ok();
                 let outcome = InvocationOutcome {
                     provider_id: provider.id().to_string(),
@@ -730,7 +869,7 @@ impl<'env> EventCore<'env> {
                 request.invocations.push(outcome);
                 match result {
                     Ok(payload) => {
-                        let at = now.saturating_sub(request.started_at);
+                        let at = completed.saturating_sub(request.started_at);
                         request.policy.on_success(payload, at);
                         Status::Succeeded
                     }
@@ -765,34 +904,30 @@ impl<'env> EventCore<'env> {
                 let provider = Arc::clone(&request.providers[provider_index]);
                 if let Some((latency, result)) = provider.try_timed_invoke(&request.request, clock)
                 {
-                    let t0 = clock.now();
                     let seq = state.timer_seq;
                     state.timer_seq += 1;
                     state.timers.push(Timer {
-                        deadline: t0.saturating_add(latency),
+                        deadline: clock.now().saturating_add(latency),
                         seq,
                         event: Event::Leaf(LeafEvent {
                             req,
                             parent,
                             provider_index,
-                            t0,
-                            declared: Some(latency),
+                            timing: LeafTiming::Declared(latency),
                             result: LeafOutcome::Completed(result),
                             orphan_slot: false,
                         }),
                     });
                 } else {
-                    // Reserve the slot *now*, under the core lock, so the
-                    // clock cannot advance before the task's thread binds
-                    // it — the same reserve-before-spawn discipline as the
-                    // old walker.
-                    clock.reserve_worker();
+                    // `hand_out` reserves its worker slot (or keeps it for
+                    // the driver) before the core lock is released.
                     deferred.spawns.push(BlockingTask {
                         req,
                         parent,
                         provider_index,
                         provider,
                         invocation: (*request.request).clone(),
+                        inline: false,
                     });
                 }
             }

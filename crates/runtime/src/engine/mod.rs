@@ -20,6 +20,14 @@
 //!   threads rather than queueing legs behind their own parents, so
 //!   capacity never deadlocks an execution — see [`PoolStats`]).
 //!
+//! In both, the driving thread runs a blocking leaf itself when that leaf
+//! is the last of the request's outstanding work (caller-runs: a single
+//! outstanding leg, or the last child of a `Par` whose other children are
+//! the only legs out, with no timer pending). Nothing else could make
+//! progress while it runs, so a fail-over chain (`a-b-c`) costs no thread
+//! hand-off at all and a fan-out of `n` blocking leaves hands out `n - 1`.
+//! See `engine/event.rs` for the rule and its clock discipline.
+//!
 //! Both honour the paper's semantics: Assumption-2 cost accounting (every
 //! started invocation is charged in full), global short-circuit, and
 //! deterministic [`VirtualClock`](crate::VirtualClock) executions — the
@@ -155,8 +163,9 @@ fn settle(result: Option<RequestResult>) -> EngineOutcome {
 }
 
 /// Executes `strategy` with borrowed inputs on the calling thread's event
-/// loop; blocking leaves run on scoped OS threads. The behaviour with
-/// [`Budget::unlimited`] is bit-for-bit the pre-engine
+/// loop; blocking leaves run on scoped OS threads, except the request's
+/// last outstanding one, which the calling thread runs itself. The
+/// behaviour with [`Budget::unlimited`] is bit-for-bit the pre-engine
 /// [`execute_strategy_with_clock`](crate::execute_strategy_with_clock) /
 /// [`execute_with_quorum_clock`](crate::execute_with_quorum_clock).
 ///
@@ -195,7 +204,7 @@ pub fn execute_scoped(
         let spawn = move |task: BlockingTask| {
             scope.spawn(move || run_blocking(core, task));
         };
-        let req = core.submit(
+        core.drive_request(
             RequestSpec {
                 strategy: Shared::Borrowed(strategy),
                 providers: Shared::Borrowed(providers),
@@ -208,7 +217,6 @@ pub fn execute_scoped(
             },
             &spawn,
         );
-        core.drive_request(req, &spawn);
     });
     drop(core);
     drop(worker);
@@ -216,9 +224,9 @@ pub fn execute_scoped(
 }
 
 /// The unified execution engine: a bounded worker pool (for blocking
-/// leaves) plus the shared event core. One engine (and so one pool) is
-/// meant to be shared by many concurrent executions — the
-/// [`Gateway`](crate::Gateway) owns one.
+/// leaves the calling thread does not run itself) plus the shared event
+/// core. One engine (and so one pool) is meant to be shared by many
+/// concurrent executions — the [`Gateway`](crate::Gateway) owns one.
 ///
 /// # Examples
 ///
@@ -285,7 +293,8 @@ impl ExecutionEngine {
     }
 
     /// Executes `spec` on the calling thread's event loop; blocking
-    /// leaves run on the engine's worker pool.
+    /// leaves run on the engine's worker pool, except the request's last
+    /// outstanding one, which the calling thread runs itself.
     ///
     /// # Errors
     ///
@@ -325,7 +334,7 @@ impl ExecutionEngine {
             let result = Arc::clone(&result);
             Box::new(move |r| *result.lock() = Some(r))
         };
-        let req = core.submit(
+        core.drive_request(
             RequestSpec {
                 strategy: Shared::Owned(Arc::new(spec.strategy)),
                 providers: Shared::Owned(spec.providers.into()),
@@ -338,7 +347,6 @@ impl ExecutionEngine {
             },
             &spawn,
         );
-        core.drive_request(req, &spawn);
         drop(worker);
         let settled = settle(result.lock().take());
         Ok(settled)

@@ -1,6 +1,12 @@
 //! A bounded pool of persistent worker threads for parallel strategy
 //! legs, with a deadlock-free overflow path.
 //!
+//! The pool only sees blocking legs the driver hands out *beside* other
+//! work: a request's last outstanding blocking leg runs on the driving
+//! thread itself (the caller-runs rule in `engine/event.rs`), so a
+//! fail-over chain submits no job and a fan-out of `n` blocking leaves
+//! submits `n - 1`.
+//!
 //! The pool never *queues* a job unless an idle worker is already parked
 //! and guaranteed to pick it up; when every worker is busy and the pool is
 //! at capacity, the job spills to a one-shot thread instead of waiting.

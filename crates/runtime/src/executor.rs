@@ -382,8 +382,10 @@ mod tests {
     /// Regression test: once the strategy is won, a `Seq` chain must not
     /// descend into its remaining legs. Descending into the `b*c` leg is
     /// observable as extra [`Clock::reserve_worker`] calls: the engine
-    /// reserves one worker slot per started blocking leaf (the spy hides
-    /// the providers' own clock, so every leaf takes the blocking path).
+    /// reserves one worker slot per blocking leaf it hands out (the spy
+    /// hides the providers' own clock, so every leaf takes the blocking
+    /// path, and `a` and `d` start under different frames, so neither
+    /// runs inline on the driver).
     /// Only `a` and `d` start — exactly 2 reserves — and the loser's
     /// unreached legs are never invoked or charged.
     #[test]

@@ -17,6 +17,11 @@
 //!    (scoped-spawner engine path),
 //! 3. `ExecutionEngine::execute` (pooled-spawner engine path).
 //!
+//! Each property runs twice: once with every leaf a timed completion event,
+//! and once with every leaf a blocking leg that really sleeps on the
+//! virtual clock, where the caller-runs rule decides which legs the
+//! driving thread runs itself. The tests at the end pin that rule.
+//!
 //! Determinism argument: reliabilities are 0 or 1 and latencies are
 //! distinct powers of two, so every *success* instant is a distinct
 //! subset-sum and no tie-dependent race can flip the winner or the vote
@@ -480,16 +485,42 @@ fn rig(
     fault_mask: u8,
     seed: u64,
 ) -> (Arc<VirtualClock>, Vec<Arc<dyn Provider>>) {
+    rig_with(m, mask, fault_mask, seed, false)
+}
+
+/// As [`rig`], but every provider is capacity-capped (never reached), so
+/// it declines the timed path: each leaf is a blocking leg that really
+/// sleeps on the shared virtual clock — handed out to a thread, or run by
+/// the driver itself under the caller-runs rule.
+fn blocking_rig(
+    m: usize,
+    mask: u8,
+    fault_mask: u8,
+    seed: u64,
+) -> (Arc<VirtualClock>, Vec<Arc<dyn Provider>>) {
+    rig_with(m, mask, fault_mask, seed, true)
+}
+
+fn rig_with(
+    m: usize,
+    mask: u8,
+    fault_mask: u8,
+    seed: u64,
+    blocking: bool,
+) -> (Arc<VirtualClock>, Vec<Arc<dyn Provider>>) {
     let clock = Arc::new(VirtualClock::new());
     let providers = (0..m)
         .map(|i| {
-            let device = SimulatedProvider::builder(format!("p{i}"), format!("cap{i}"))
+            let mut builder = SimulatedProvider::builder(format!("p{i}"), format!("cap{i}"))
                 .latency(Duration::from_millis(LATENCIES_MS[i]))
                 .cost(5.0 * (i as f64 + 1.0))
                 .reliability(if mask & (1 << i) != 0 { 1.0 } else { 0.0 })
                 .response(vec![b'r', (i % 2) as u8])
-                .clock(Arc::clone(&clock) as Arc<dyn Clock>)
-                .build();
+                .clock(Arc::clone(&clock) as Arc<dyn Clock>);
+            if blocking {
+                builder = builder.capacity(64);
+            }
+            let device = builder.build();
             if fault_mask & (1 << i) != 0 {
                 let plan = FaultPlan::seeded(
                     seed.wrapping_add(i as u64),
@@ -544,11 +575,224 @@ fn request() -> Invocation {
 // The properties.
 // ---------------------------------------------------------------------------
 
+/// Builds one case's clock and providers.
+type Rig = fn(usize, u8, u8, u64) -> (Arc<VirtualClock>, Vec<Arc<dyn Provider>>);
+
+/// `CompletionPolicy::FirstSuccess` — both engine paths reproduce the
+/// pre-engine `execute_strategy_with_clock` bit for bit.
+fn check_first_success(
+    rig: Rig,
+    m: usize,
+    seed: u64,
+    mask: u8,
+    fault_mask: u8,
+) -> Result<(), String> {
+    let strategy = sampled_strategy(m, seed);
+
+    let (clock, providers) = rig(m, mask, fault_mask, seed);
+    let oracle = oracle_first_success(&strategy, &providers, &request(), &*clock);
+
+    let (clock, providers) = rig(m, mask, fault_mask, seed);
+    let legacy =
+        execute_strategy_with_clock(&strategy, &providers, &request(), None, &*clock).unwrap();
+
+    let (clock, providers) = rig(m, mask, fault_mask, seed);
+    let engine = ExecutionEngine::new(4)
+        .execute(ExecSpec {
+            strategy: strategy.clone(),
+            providers,
+            request: request(),
+            collector: None,
+            telemetry: None,
+            clock: clock as Arc<dyn Clock>,
+            budget: Budget::unlimited(),
+            policy: CompletionPolicy::FirstSuccess,
+        })
+        .unwrap();
+    let (engine_success, engine_payload) = match engine.completion {
+        Completion::First { success, payload } => (success, payload),
+        Completion::Agreement { .. } => panic!("first-success run returned agreement"),
+    };
+
+    // Legacy wrapper vs original walker.
+    prop_assert_eq!(legacy.success, oracle.success, "strategy {}", strategy);
+    prop_assert_eq!(&legacy.payload, &oracle.payload, "strategy {}", strategy);
+    prop_assert_eq!(legacy.latency, oracle.latency, "strategy {}", strategy);
+    prop_assert_eq!(legacy.cost, oracle.cost, "strategy {}", strategy);
+    prop_assert_eq!(
+        sorted_trace(&legacy.invocations),
+        sorted_trace(&oracle.invocations),
+        "strategy {}",
+        strategy
+    );
+
+    // Pooled engine vs original walker.
+    prop_assert_eq!(engine_success, oracle.success, "strategy {}", strategy);
+    prop_assert_eq!(&engine_payload, &oracle.payload, "strategy {}", strategy);
+    prop_assert_eq!(engine.latency, oracle.latency, "strategy {}", strategy);
+    prop_assert_eq!(engine.cost, oracle.cost, "strategy {}", strategy);
+    prop_assert_eq!(engine.pruned, None);
+    prop_assert_eq!(
+        sorted_trace(&engine.invocations),
+        sorted_trace(&oracle.invocations),
+        "strategy {}",
+        strategy
+    );
+    Ok(())
+}
+
+/// `CompletionPolicy::Quorum { k }` — both engine paths reproduce the
+/// pre-engine `execute_with_quorum_clock` bit for bit, votes included.
+fn check_quorum(
+    rig: Rig,
+    m: usize,
+    seed: u64,
+    mask: u8,
+    fault_mask: u8,
+    quorum: usize,
+) -> Result<(), String> {
+    let strategy = sampled_strategy(m, seed);
+
+    let (clock, providers) = rig(m, mask, fault_mask, seed);
+    let oracle = oracle_quorum(&strategy, &providers, &request(), quorum, &*clock);
+
+    let (clock, providers) = rig(m, mask, fault_mask, seed);
+    let legacy =
+        execute_with_quorum_clock(&strategy, &providers, &request(), None, quorum, &*clock)
+            .unwrap();
+
+    let (clock, providers) = rig(m, mask, fault_mask, seed);
+    let engine = ExecutionEngine::new(4)
+        .execute(ExecSpec {
+            strategy: strategy.clone(),
+            providers,
+            request: request(),
+            collector: None,
+            telemetry: None,
+            clock: clock as Arc<dyn Clock>,
+            budget: Budget::unlimited(),
+            policy: CompletionPolicy::Quorum { quorum },
+        })
+        .unwrap();
+    let (engine_payload, engine_votes, engine_cast, engine_agreed) = match engine.completion {
+        Completion::Agreement {
+            payload,
+            votes,
+            votes_cast,
+            agreed,
+        } => (payload, votes, votes_cast, agreed),
+        Completion::First { .. } => panic!("quorum run returned first-success"),
+    };
+
+    // Legacy wrapper vs original walker.
+    prop_assert_eq!(
+        &legacy.payload,
+        &oracle.payload,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        legacy.votes,
+        oracle.votes,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        legacy.votes_cast,
+        oracle.votes_cast,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        legacy.agreed,
+        oracle.agreed,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        legacy.latency,
+        oracle.latency,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        legacy.cost,
+        oracle.cost,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        sorted_trace(&legacy.invocations),
+        sorted_trace(&oracle.invocations),
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+
+    // Pooled engine vs original walker.
+    prop_assert_eq!(
+        &engine_payload,
+        &oracle.payload,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        engine_votes,
+        oracle.votes,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        engine_cast,
+        oracle.votes_cast,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        engine_agreed,
+        oracle.agreed,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        engine.latency,
+        oracle.latency,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(
+        engine.cost,
+        oracle.cost,
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    prop_assert_eq!(engine.pruned, None);
+    prop_assert_eq!(
+        sorted_trace(&engine.invocations),
+        sorted_trace(&oracle.invocations),
+        "strategy {} q{}",
+        strategy,
+        quorum
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `CompletionPolicy::FirstSuccess` — both engine paths reproduce the
-    /// pre-engine `execute_strategy_with_clock` bit for bit.
+    /// First-success equivalence with every leaf a timed completion event.
     #[test]
     fn first_success_engine_equals_legacy_walker(
         m in 1usize..6,
@@ -556,61 +800,10 @@ proptest! {
         mask in any::<u8>(),
         fault_mask in any::<u8>(),
     ) {
-        let strategy = sampled_strategy(m, seed);
-
-        let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let oracle = oracle_first_success(&strategy, &providers, &request(), &*clock);
-
-        let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let legacy =
-            execute_strategy_with_clock(&strategy, &providers, &request(), None, &*clock).unwrap();
-
-        let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let engine = ExecutionEngine::new(4)
-            .execute(ExecSpec {
-                strategy: strategy.clone(),
-                providers,
-                request: request(),
-                collector: None,
-                telemetry: None,
-                clock: clock as Arc<dyn Clock>,
-                budget: Budget::unlimited(),
-                policy: CompletionPolicy::FirstSuccess,
-            })
-            .unwrap();
-        let (engine_success, engine_payload) = match engine.completion {
-            Completion::First { success, payload } => (success, payload),
-            Completion::Agreement { .. } => panic!("first-success run returned agreement"),
-        };
-
-        // Legacy wrapper vs original walker.
-        prop_assert_eq!(legacy.success, oracle.success, "strategy {}", strategy);
-        prop_assert_eq!(&legacy.payload, &oracle.payload, "strategy {}", strategy);
-        prop_assert_eq!(legacy.latency, oracle.latency, "strategy {}", strategy);
-        prop_assert_eq!(legacy.cost, oracle.cost, "strategy {}", strategy);
-        prop_assert_eq!(
-            sorted_trace(&legacy.invocations),
-            sorted_trace(&oracle.invocations),
-            "strategy {}",
-            strategy
-        );
-
-        // Pooled engine vs original walker.
-        prop_assert_eq!(engine_success, oracle.success, "strategy {}", strategy);
-        prop_assert_eq!(&engine_payload, &oracle.payload, "strategy {}", strategy);
-        prop_assert_eq!(engine.latency, oracle.latency, "strategy {}", strategy);
-        prop_assert_eq!(engine.cost, oracle.cost, "strategy {}", strategy);
-        prop_assert_eq!(engine.pruned, None);
-        prop_assert_eq!(
-            sorted_trace(&engine.invocations),
-            sorted_trace(&oracle.invocations),
-            "strategy {}",
-            strategy
-        );
+        check_first_success(rig, m, seed, mask, fault_mask)?;
     }
 
-    /// `CompletionPolicy::Quorum { k }` — both engine paths reproduce the
-    /// pre-engine `execute_with_quorum_clock` bit for bit, votes included.
+    /// Quorum equivalence with every leaf a timed completion event.
     #[test]
     fn quorum_engine_equals_legacy_walker(
         m in 1usize..6,
@@ -619,66 +812,31 @@ proptest! {
         fault_mask in any::<u8>(),
         quorum in 1usize..4,
     ) {
-        let strategy = sampled_strategy(m, seed);
+        check_quorum(rig, m, seed, mask, fault_mask, quorum)?;
+    }
 
-        let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let oracle = oracle_quorum(&strategy, &providers, &request(), quorum, &*clock);
+    /// First-success equivalence with every leaf a blocking leg, so the
+    /// caller-runs rule decides which legs the driver runs itself.
+    #[test]
+    fn first_success_blocking_legs_equal_legacy_walker(
+        m in 1usize..6,
+        seed in any::<u64>(),
+        mask in any::<u8>(),
+        fault_mask in any::<u8>(),
+    ) {
+        check_first_success(blocking_rig, m, seed, mask, fault_mask)?;
+    }
 
-        let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let legacy =
-            execute_with_quorum_clock(&strategy, &providers, &request(), None, quorum, &*clock)
-                .unwrap();
-
-        let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let engine = ExecutionEngine::new(4)
-            .execute(ExecSpec {
-                strategy: strategy.clone(),
-                providers,
-                request: request(),
-                collector: None,
-                telemetry: None,
-                clock: clock as Arc<dyn Clock>,
-                budget: Budget::unlimited(),
-                policy: CompletionPolicy::Quorum { quorum },
-            })
-            .unwrap();
-        let (engine_payload, engine_votes, engine_cast, engine_agreed) = match engine.completion {
-            Completion::Agreement { payload, votes, votes_cast, agreed } => {
-                (payload, votes, votes_cast, agreed)
-            }
-            Completion::First { .. } => panic!("quorum run returned first-success"),
-        };
-
-        // Legacy wrapper vs original walker.
-        prop_assert_eq!(&legacy.payload, &oracle.payload, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.votes, oracle.votes, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.votes_cast, oracle.votes_cast, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.agreed, oracle.agreed, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.latency, oracle.latency, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.cost, oracle.cost, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(
-            sorted_trace(&legacy.invocations),
-            sorted_trace(&oracle.invocations),
-            "strategy {} q{}",
-            strategy,
-            quorum
-        );
-
-        // Pooled engine vs original walker.
-        prop_assert_eq!(&engine_payload, &oracle.payload, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine_votes, oracle.votes, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine_cast, oracle.votes_cast, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine_agreed, oracle.agreed, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine.latency, oracle.latency, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine.cost, oracle.cost, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine.pruned, None);
-        prop_assert_eq!(
-            sorted_trace(&engine.invocations),
-            sorted_trace(&oracle.invocations),
-            "strategy {} q{}",
-            strategy,
-            quorum
-        );
+    /// Quorum equivalence with every leaf a blocking leg.
+    #[test]
+    fn quorum_blocking_legs_equal_legacy_walker(
+        m in 1usize..6,
+        seed in any::<u64>(),
+        mask in any::<u8>(),
+        fault_mask in any::<u8>(),
+        quorum in 1usize..4,
+    ) {
+        check_quorum(blocking_rig, m, seed, mask, fault_mask, quorum)?;
     }
 }
 
@@ -752,4 +910,285 @@ fn parked_parent_handoff_keeps_pending_leaves() {
             "{ctx}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// The caller-runs rule on the virtual clock: which blocking legs the driver
+// runs itself, and that the clock neither stalls nor skips around them.
+// ---------------------------------------------------------------------------
+
+/// A blocking leaf on `clock`: capacity-capped (never reached), so it
+/// declines the timed path and really sleeps `ms` on the shared clock.
+fn blocking_leaf(clock: &Arc<VirtualClock>, id: &str, ms: u64, ok: bool) -> Arc<dyn Provider> {
+    SimulatedProvider::builder(id, "cap")
+        .latency(Duration::from_millis(ms))
+        .cost(1.0)
+        .reliability(if ok { 1.0 } else { 0.0 })
+        .response(id.as_bytes().to_vec())
+        .capacity(64)
+        .clock(Arc::clone(clock) as Arc<dyn Clock>)
+        .build()
+}
+
+/// Runs `body` on its own thread and fails if it does not finish in time:
+/// a clock-slot bug shows up as virtual time that never advances.
+fn within_deadlock_watchdog(body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(()) => runner.join().unwrap(),
+        // The body panicked: re-raise its panic here.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("virtual clock deadlocked: the execution never finished")
+        }
+    }
+}
+
+fn execute_on(
+    engine: &ExecutionEngine,
+    clock: &Arc<VirtualClock>,
+    strategy: &str,
+    providers: Vec<Arc<dyn Provider>>,
+) -> qce_runtime::EngineOutcome {
+    engine
+        .execute(ExecSpec {
+            strategy: Strategy::parse(strategy).unwrap(),
+            providers,
+            request: request(),
+            collector: None,
+            telemetry: None,
+            clock: Arc::clone(clock) as Arc<dyn Clock>,
+            budget: Budget::unlimited(),
+            policy: CompletionPolicy::FirstSuccess,
+        })
+        .unwrap()
+}
+
+/// `(provider, latency)` per invocation, in completion order.
+fn timeline(outcome: &qce_runtime::EngineOutcome) -> Vec<(String, Duration)> {
+    outcome
+        .invocations
+        .iter()
+        .map(|i| (i.provider_id.clone(), i.latency))
+        .collect()
+}
+
+fn ms(ms: u64) -> Duration {
+    Duration::from_millis(ms)
+}
+
+/// Asserts no worker slot outlived the execution: an unregistered sleep
+/// must advance the clock at once instead of waiting on a phantom worker.
+fn assert_clock_drained(clock: &Arc<VirtualClock>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let sleeper = Arc::clone(clock);
+    std::thread::spawn(move || {
+        sleeper.sleep(Duration::from_secs(1));
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("a worker slot leaked: the clock cannot advance");
+}
+
+#[test]
+fn caller_runs_failover_chain_submits_no_pool_job() {
+    within_deadlock_watchdog(|| {
+        let clock = Arc::new(VirtualClock::new());
+        let engine = ExecutionEngine::new(4);
+        let outcome = execute_on(
+            &engine,
+            &clock,
+            "a-b-c",
+            vec![
+                blocking_leaf(&clock, "a", 1, false),
+                blocking_leaf(&clock, "b", 2, false),
+                blocking_leaf(&clock, "c", 4, true),
+            ],
+        );
+        assert_eq!(engine.pool_stats().submitted, 0);
+        assert!(outcome.completion.is_success());
+        assert_eq!(outcome.latency, ms(7));
+        assert_eq!(
+            timeline(&outcome),
+            [
+                ("a".into(), ms(1)),
+                ("b".into(), ms(2)),
+                ("c".into(), ms(4))
+            ]
+        );
+        assert_clock_drained(&clock);
+    });
+}
+
+#[test]
+fn caller_runs_fan_out_submits_all_but_the_last_leg() {
+    within_deadlock_watchdog(|| {
+        let clock = Arc::new(VirtualClock::new());
+        let engine = ExecutionEngine::new(4);
+        let outcome = execute_on(
+            &engine,
+            &clock,
+            "a*b*c",
+            vec![
+                blocking_leaf(&clock, "a", 4, false),
+                blocking_leaf(&clock, "b", 1, false),
+                blocking_leaf(&clock, "c", 2, false),
+            ],
+        );
+        assert_eq!(engine.pool_stats().submitted, 2);
+        assert!(!outcome.completion.is_success());
+        // No decision: the latency is the last completion's instant.
+        assert_eq!(outcome.latency, ms(4));
+        assert_eq!(
+            timeline(&outcome),
+            [
+                ("b".into(), ms(1)),
+                ("c".into(), ms(2)),
+                ("a".into(), ms(4))
+            ]
+        );
+        assert_clock_drained(&clock);
+    });
+}
+
+#[test]
+fn caller_runs_nothing_beside_a_live_sibling_subtree() {
+    within_deadlock_watchdog(|| {
+        // `a` is out for 16 ms while `b` fails at 1 ms and `c` follows it. `c`
+        // succeeds at 3 ms — proof it started before `a` returned — and all
+        // three legs went to the pool.
+        let clock = Arc::new(VirtualClock::new());
+        let engine = ExecutionEngine::new(4);
+        let outcome = execute_on(
+            &engine,
+            &clock,
+            "a*(b-c)",
+            vec![
+                blocking_leaf(&clock, "a", 16, false),
+                blocking_leaf(&clock, "b", 1, false),
+                blocking_leaf(&clock, "c", 2, true),
+            ],
+        );
+        assert_eq!(engine.pool_stats().submitted, 3);
+        assert!(outcome.completion.is_success());
+        assert_eq!(outcome.latency, ms(3));
+        assert_eq!(
+            timeline(&outcome),
+            [
+                ("b".into(), ms(1)),
+                ("c".into(), ms(2)),
+                ("a".into(), ms(16))
+            ]
+        );
+        assert_clock_drained(&clock);
+    });
+}
+
+#[test]
+fn caller_runs_keeps_a_fast_pool_siblings_first_success_instant() {
+    within_deadlock_watchdog(|| {
+        // The pool sibling `a` succeeds at 1 ms while the driver sleeps inside
+        // the inline `b` until 16 ms. The clock must not stall on `a`'s
+        // completion, and `a`'s latency and decision instant stay 1 ms.
+        let clock = Arc::new(VirtualClock::new());
+        let engine = ExecutionEngine::new(4);
+        let outcome = execute_on(
+            &engine,
+            &clock,
+            "a*b",
+            vec![
+                blocking_leaf(&clock, "a", 1, true),
+                blocking_leaf(&clock, "b", 16, true),
+            ],
+        );
+        assert_eq!(engine.pool_stats().submitted, 1);
+        match &outcome.completion {
+            Completion::First { success, payload } => {
+                assert!(success);
+                assert_eq!(payload.as_deref(), Some(&b"a"[..]));
+            }
+            Completion::Agreement { .. } => panic!("first-success run returned agreement"),
+        }
+        assert_eq!(outcome.latency, ms(1));
+        assert_eq!(
+            timeline(&outcome),
+            [("a".into(), ms(1)), ("b".into(), ms(16))]
+        );
+        assert_eq!(clock.now(), ms(16));
+        assert_clock_drained(&clock);
+    });
+}
+
+#[test]
+fn caller_runs_panicking_inline_leaf_propagates_and_drains() {
+    within_deadlock_watchdog(|| {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let clock = Arc::new(VirtualClock::new());
+        let engine = ExecutionEngine::new(4);
+        let boom: Arc<dyn Provider> =
+            qce_runtime::FnProvider::new("boom", "cap", 1.0, |_| panic!("inline leg exploded"));
+        let providers = vec![blocking_leaf(&clock, "a", 4, true), boom];
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            execute_on(&engine, &clock, "a*b", providers)
+        }))
+        .expect_err("the provider panic must reach the caller");
+        let message = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default();
+        assert!(message.contains("inline leg exploded"), "{message}");
+        // The Par joined its pool leg before resolving: `a` ran to 4 ms.
+        assert_eq!(clock.now(), ms(4));
+        assert_eq!(engine.pool_stats().submitted, 1);
+        for _ in 0..1000 {
+            if engine.pool_stats().running == 0 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(engine.pool_stats().running, 0, "pool job stuck");
+        assert_clock_drained(&clock);
+    });
+}
+
+#[test]
+fn caller_runs_after_a_woken_join_releases_the_wake_slot() {
+    // `b` runs inline and returns at 1 ms; the driver then idles until the
+    // pool leg `a` posts at 16 ms, arming the wake signal (which holds a
+    // clock slot). Processing `a` resolves the Par and starts `c` inline:
+    // the driver must release that slot first, or its sleep inside `c`
+    // could never advance the clock.
+    within_deadlock_watchdog(|| {
+        let clock = Arc::new(VirtualClock::new());
+        let engine = ExecutionEngine::new(4);
+        let outcome = execute_on(
+            &engine,
+            &clock,
+            "(a*b)-c",
+            vec![
+                blocking_leaf(&clock, "a", 16, false),
+                blocking_leaf(&clock, "b", 1, false),
+                blocking_leaf(&clock, "c", 2, true),
+            ],
+        );
+        assert_eq!(engine.pool_stats().submitted, 1);
+        assert!(outcome.completion.is_success());
+        assert_eq!(outcome.latency, ms(18));
+        assert_eq!(
+            timeline(&outcome),
+            [
+                ("b".into(), ms(1)),
+                ("a".into(), ms(16)),
+                ("c".into(), ms(2))
+            ]
+        );
+        assert_clock_drained(&clock);
+    });
 }

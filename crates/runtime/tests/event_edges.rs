@@ -6,8 +6,9 @@
 //! latencies can saturate to the *same* deadline, and reconstructing a
 //! leg's latency as `now - t0` after the clamp silently under-reports it
 //! by `t0`. The core therefore carries the declared latency on the timer
-//! event and reports it verbatim; the subtraction is only the fallback for
-//! blocking legs, whose elapsed time is genuinely `now - t0`. These tests
+//! event and reports it verbatim; the subtraction is only for blocking
+//! legs, whose elapsed time is genuinely the instant their call returned
+//! minus `t0`, both read on the leg's own thread. These tests
 //! pin that behaviour at the extremes — `Duration::MAX`, zero latency —
 //! and check that clamped ties resolve in a deterministic, replayable
 //! order (timer sequence number, i.e. start order).
