@@ -505,8 +505,14 @@ impl<'env> EventCore<'env> {
 
     /// Drives the core until [`EventCore::shutdown`] is called. This is
     /// the gateway's event-loop thread body.
+    ///
+    /// Shutdown arms the wake signal once, but the first loop to idle
+    /// disarms it before it sees the flag, so a peer parked on the signal
+    /// would never wake. Every exiting loop therefore re-arms the signal;
+    /// the slot that reservation holds is released when the core drops.
     pub(crate) fn run_loop(&self, spawn: &dyn Fn(BlockingTask)) {
         while self.step(spawn, false, &|state| state.shutdown) {}
+        self.wake();
     }
 
     /// Registers a request and starts its root node; `caller_runs` lets

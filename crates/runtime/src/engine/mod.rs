@@ -52,7 +52,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use qce_strategy::Strategy;
+use qce_strategy::{Node, Strategy};
 
 use crate::clock::{Clock, WorkerGuard};
 use crate::collector::Collector;
@@ -60,7 +60,7 @@ use crate::device::Provider;
 use crate::message::{Invocation, InvocationOutcome, RuntimeError};
 use crate::telemetry::Telemetry;
 
-use event::{run_blocking, BlockingTask, EventCore, RequestResult, RequestSpec, Shared};
+use event::{run_blocking, BlockingTask, DoneFn, EventCore, RequestResult, RequestSpec, Shared};
 pub(crate) use policy::PolicyState;
 pub(crate) use pool::WorkerPool;
 
@@ -137,19 +137,42 @@ impl std::fmt::Debug for ExecSpec {
     }
 }
 
-/// Rejects strategies that reference an unresolved provider index.
+impl ExecSpec {
+    /// The event-core spec of these owned inputs, resolving through `done`.
+    pub(crate) fn into_request(self, done: DoneFn<'static>) -> RequestSpec<'static> {
+        RequestSpec {
+            strategy: Shared::Owned(Arc::new(self.strategy)),
+            providers: Shared::Owned(self.providers.into()),
+            request: Shared::Owned(Arc::new(self.request)),
+            collector: self.collector.map(Shared::Owned),
+            telemetry: self.telemetry.map(Shared::Owned),
+            budget: self.budget,
+            policy: PolicyState::new(self.policy),
+            done,
+        }
+    }
+}
+
+/// Rejects strategies that reference an unresolved provider index. Walks
+/// the tree in place, allocating nothing: every gateway request is
+/// validated, a blocking one twice (the gateway's `start` step, then
+/// [`ExecutionEngine::execute`]).
 pub(crate) fn validate(
     strategy: &Strategy,
     providers: &[Arc<dyn Provider>],
 ) -> Result<(), RuntimeError> {
-    for id in strategy.leaves() {
-        if providers.get(id.index()).is_none() {
-            return Err(RuntimeError::NoProvider {
+    fn check(node: &Node, providers: usize) -> Result<(), RuntimeError> {
+        match node {
+            Node::Leaf(id) if id.index() >= providers => Err(RuntimeError::NoProvider {
                 capability: format!("strategy operand {id}"),
-            });
+            }),
+            Node::Leaf(_) => Ok(()),
+            Node::Seq(children) | Node::Par(children) => children
+                .iter()
+                .try_for_each(|child| check(child, providers)),
         }
     }
-    Ok(())
+    check(strategy.node(), providers.len())
 }
 
 /// Unwraps a resolved request's result, re-raising a provider panic on
@@ -286,10 +309,25 @@ impl ExecutionEngine {
         self.pool.stats()
     }
 
-    /// The shared blocking-leaf pool, for callers (the gateway's event
-    /// loops) that submit blocking work outside `execute`.
-    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
+    /// Routes the blocking leaves `core` hands out to the engine's pool.
+    /// Holds the core weakly: a leaf that outlives its core (torn down
+    /// mid-flight by shutdown or an eviction race) frees the clock slot
+    /// reserved for it and vanishes instead of touching freed state.
+    pub(crate) fn spawner(
+        &self,
+        core: &Arc<EventCore<'static>>,
+        clock: Arc<dyn Clock>,
+    ) -> impl Fn(BlockingTask) + Send + Sync + 'static {
+        let core = Arc::downgrade(core);
+        let pool = Arc::clone(&self.pool);
+        move |task: BlockingTask| {
+            let core = core.clone();
+            let clock = Arc::clone(&clock);
+            pool.submit(Box::new(move || match core.upgrade() {
+                Some(core) => run_blocking(&core, task),
+                None => clock.release_worker(),
+            }));
+        }
     }
 
     /// Executes `spec` on the calling thread's event loop; blocking
@@ -307,46 +345,17 @@ impl ExecutionEngine {
     /// panics (propagated to the caller).
     pub fn execute(&self, spec: ExecSpec) -> Result<EngineOutcome, RuntimeError> {
         validate(&spec.strategy, &spec.providers)?;
-        let policy = PolicyState::new(spec.policy);
-
         let clock = Arc::clone(&spec.clock);
         // See `execute_scoped`: an already-registered caller keeps its slot.
         let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(&*clock));
-        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&spec.clock))));
+        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&clock))));
+        let spawn = self.spawner(&core, Arc::clone(&clock));
         let result = Arc::new(Mutex::new(None));
-        let spawn = {
-            let core = Arc::downgrade(&core);
-            let clock = Arc::clone(&spec.clock);
-            let pool = Arc::clone(&self.pool);
-            move |task: BlockingTask| {
-                let core = core.clone();
-                let clock = Arc::clone(&clock);
-                pool.submit(Box::new(move || match core.upgrade() {
-                    Some(core) => run_blocking(&core, task),
-                    // The core was torn down mid-flight (shutdown or
-                    // eviction race): free the slot reserved for this leg
-                    // and vanish instead of panicking.
-                    None => clock.release_worker(),
-                }));
-            }
-        };
         let done = {
             let result = Arc::clone(&result);
             Box::new(move |r| *result.lock() = Some(r))
         };
-        core.drive_request(
-            RequestSpec {
-                strategy: Shared::Owned(Arc::new(spec.strategy)),
-                providers: Shared::Owned(spec.providers.into()),
-                request: Shared::Owned(Arc::new(spec.request)),
-                collector: spec.collector.map(Shared::Owned),
-                telemetry: spec.telemetry.map(Shared::Owned),
-                budget: spec.budget,
-                policy,
-                done,
-            },
-            &spawn,
-        );
+        core.drive_request(spec.into_request(done), &spawn);
         drop(worker);
         let settled = settle(result.lock().take());
         Ok(settled)

@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
@@ -24,11 +24,10 @@ use crate::clock::{Clock, WallClock, WorkerGuard};
 use crate::collector::Collector;
 use crate::device::Provider;
 use crate::engine::event::{
-    run_blocking, BlockingTask, DoneFn, EventCore, PanicPayload, RequestResult, RequestSpec,
-    Shared, TaskFn,
+    BlockingTask, DoneFn, EventCore, PanicPayload, RequestResult, Shared, TaskFn,
 };
 use crate::engine::{
-    Budget, Completion, CompletionPolicy, EngineStats, ExecSpec, ExecutionEngine, PolicyState,
+    Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, ExecSpec, ExecutionEngine,
     PoolStats, PruneDetail, PruneReason,
 };
 use crate::generator::{Planner, SlotPlan, StrategyOrigin, SynthesisSettings};
@@ -348,50 +347,45 @@ struct ServiceState {
 /// *preempt* the newest waiter of the lowest queued class
 /// ([`AdmissionGate::preemption_victim`]): Scavenger waiters shed first to
 /// any higher class, and Critical arrivals preempt any lower class. The
-/// preempted waiter wakes and is shed exactly as if it had never been
-/// queued.
+/// preempted waiter is shed exactly as if it had never been queued.
 ///
-/// Waiters block on a plain OS condvar, *not* on the execution clock. An
-/// *unregistered* caller's wait stays invisible to
-/// [`VirtualClock`](crate::VirtualClock) accounting (the clock only
-/// advances over registered workers' sleeps); a caller that **is** a
-/// registered clock worker (e.g. a load generator that registers its
-/// client threads so virtual time cannot advance past them before they
-/// issue their request) is marked passive for the duration of the wait,
-/// so a queued worker never stalls the in-flight requests it is waiting
-/// on.
+/// Every queued ticket carries a [`WakerFn`], fired exactly once when the
+/// ticket leaves the queue, and the gate reports the queue-depth gauges
+/// at every entry and exit. The gate never parks a thread: a blocking
+/// [`Gateway::submit`] that has to queue parks on its own one-shot
+/// ([`HandleShared::wait`]), exactly as [`RequestHandle::wait`] does.
 struct AdmissionGate {
     /// In-flight limit (`0` = unlimited).
     limit: usize,
     /// Total queue capacity (across all classes) once the limit is reached.
     max_queue: usize,
+    /// The service whose queue-depth gauges this gate reports.
+    service_id: String,
+    telemetry: Arc<Telemetry>,
     state: StdMutex<GateState>,
-    freed: Condvar,
 }
 
 #[derive(Default)]
 struct GateState {
     in_flight: usize,
-    /// FIFO of waiter tickets per class, indexed by [`QosClass::index`].
-    waiting: [VecDeque<u64>; CLASS_COUNT],
+    /// FIFO of waiter tickets per class, indexed by [`QosClass::index`],
+    /// each with the continuation its departure fires.
+    waiting: [VecDeque<(u64, WakerFn)>; CLASS_COUNT],
     /// Smooth weighted-round-robin accumulators, one per class.
     wrr: [i64; CLASS_COUNT],
-    /// Tickets whose waiters have been handed a freed in-flight slot.
-    granted: Vec<u64>,
-    /// Tickets preempted out of their queue slot by a higher class.
-    preempted: Vec<u64>,
-    /// Continuations of asynchronous waiters ([`Gateway::submit_async`]),
-    /// keyed by ticket. A ticket with no entry here belongs to a blocking
-    /// waiter parked on the condvar. The waker is removed together with
-    /// its ticket — on grant, preemption, or cancellation — so it fires
-    /// exactly once.
-    wakers: HashMap<u64, WakerFn>,
     next_ticket: u64,
 }
 
 impl GateState {
     fn queued(&self) -> usize {
         self.waiting.iter().map(VecDeque::len).sum()
+    }
+
+    fn shed(&self) -> Shed {
+        Shed {
+            in_flight: self.in_flight as u64,
+            queued: self.queued() as u64,
+        }
     }
 }
 
@@ -420,55 +414,71 @@ fn pick_class(wrr: &mut [i64; CLASS_COUNT], nonempty: [bool; CLASS_COUNT]) -> Op
     Some(winner)
 }
 
-/// Why a request could not be admitted.
+/// Gate occupancy when a request was shed, for its telemetry and error.
 struct Shed {
     in_flight: u64,
     queued: u64,
 }
 
-/// How an asynchronous admission ticket left the queue. Delivered to the
-/// ticket's [`WakerFn`] exactly once.
+/// How a queued ticket left the queue. Delivered to the ticket's
+/// [`WakerFn`] exactly once.
 enum AdmitOutcome {
     /// A freed in-flight slot was handed to this ticket (the slot is
-    /// already counted; the continuation wraps it in an [`OwnedPermit`]).
+    /// already counted; the waiter wraps it in a [`Permit`]).
     Granted,
-    /// Preempted out of its queue slot by a higher-class arrival.
-    Preempted { in_flight: u64, queued: u64 },
+    /// Preempted out of its queue slot by a higher-class arrival; the
+    /// occupancy is read at the preemption instant.
+    Preempted(Shed),
     /// The queue-wait deadline expired before a slot freed up.
     Expired,
     /// The gateway is shutting down; no slot will ever be granted.
     Shutdown,
 }
 
-/// Continuation of an asynchronous waiter. Invoked after the gate lock is
-/// released wherever that is possible; the blocking [`AdmissionGate::admit`]
-/// path invokes preemption wakers while still holding the gate lock (it must
-/// keep the lock to park on the condvar), which is safe because wakers only
-/// touch the event core, the response handle, and telemetry — never the
+/// Continuation of a queued request: an asynchronous request's event-loop
+/// task, or the one-shot a queued blocking caller parks on. Always invoked
+/// after the gate lock is released; it must never call back into the
 /// gate.
 type WakerFn = Box<dyn FnOnce(AdmitOutcome) + Send>;
 
-/// Immediate result of a non-blocking admission attempt. The waker is
-/// consumed only when the ticket actually queues; otherwise it comes back
-/// to the caller, who invokes (on admission) or discards (on shed) it.
-enum AsyncAdmission {
+/// Immediate result of [`AdmissionGate::admit`]. The waker factory `W` is
+/// called only when the request actually queues; otherwise it comes back
+/// unused.
+enum Admission<W> {
     /// A slot was free: the request is in flight.
-    Admitted(WakerFn),
+    Admitted(W),
     /// The request waits in its class queue under this ticket; its waker
     /// fires when the ticket leaves the queue.
     Queued(u64),
     /// Queue full and nobody to preempt.
-    Shed(Shed, WakerFn),
+    Shed(Shed, W),
 }
 
 impl AdmissionGate {
-    fn new(limit: usize, max_queue: usize) -> Self {
+    fn new(limit: usize, max_queue: usize, service_id: &str, telemetry: Arc<Telemetry>) -> Self {
         AdmissionGate {
             limit,
             max_queue,
+            service_id: service_id.to_string(),
+            telemetry,
             state: StdMutex::new(GateState::default()),
-            freed: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Reports the total and `class`'s queue depth after a ticket entered
+    /// or left `class`'s queue.
+    fn report_depth(&self, state: &GateState, class: usize) {
+        self.telemetry
+            .record_admission_queue(&self.service_id, state.queued() as u64);
+        self.telemetry.record_class_queue_depth(
+            &self.service_id,
+            QosClass::ALL[class],
+            state.waiting[class].len() as u64,
+        );
     }
 
     /// The class index an arriving request of `class` may preempt a waiter
@@ -486,244 +496,116 @@ impl AdmissionGate {
     }
 
     /// Makes room for an arriving `class` request when the queue is full:
-    /// evicts the newest waiter of the lowest eligible class. The chosen
-    /// queue's occupancy is re-checked under the lock on every iteration —
-    /// a victim ticket can leave the queue through another door (a
-    /// Scavenger's queue deadline cancelling it, a freed slot granting it),
-    /// so an empty pop falls through to the next candidate instead of
-    /// panicking on a stale "has waiters" snapshot.
-    ///
-    /// Returns the evicted waiter's waker when the victim was asynchronous
-    /// (to fire once the gate bookkeeping is done), `Ok(None)` when it was
-    /// a blocking waiter (flagged via `preempted`), or `Err` when nobody is
-    /// eligible and the arrival itself is shed.
-    fn preempt_for(state: &mut GateState, class: QosClass) -> Result<Option<WakerFn>, Shed> {
+    /// evicts the newest waiter of the lowest eligible class and returns
+    /// its waker (to fire once the gate lock is released), or `Err` when
+    /// nobody is eligible and the arrival itself is shed. The chosen
+    /// queue's occupancy is re-checked on every iteration, so an empty pop
+    /// falls through to the next candidate instead of panicking.
+    fn preempt_for(&self, state: &mut GateState, class: QosClass) -> Result<WakerFn, Shed> {
         loop {
             let Some(victim_class) = Self::preemption_victim(state, class) else {
-                return Err(Shed {
-                    in_flight: state.in_flight as u64,
-                    queued: state.queued() as u64,
-                });
+                return Err(state.shed());
             };
-            if let Some(ticket) = state.waiting[victim_class].pop_back() {
-                if let Some(waker) = state.wakers.remove(&ticket) {
-                    return Ok(Some(waker));
-                }
-                state.preempted.push(ticket);
-                return Ok(None);
+            if let Some((_, waker)) = state.waiting[victim_class].pop_back() {
+                self.report_depth(state, victim_class);
+                return Ok(waker);
             }
         }
     }
 
-    /// Admits the caller, blocking in its class's queue when the service
-    /// is at its in-flight limit. `on_queue_depth` is called with
-    /// `(class, class depth, total depth)` whenever this caller enters or
-    /// leaves the queue. A caller registered as a worker of `clock` is
-    /// marked passive while queued (see the type docs).
-    fn admit<'a>(
-        &'a self,
-        class: QosClass,
-        clock: &dyn Clock,
-        on_queue_depth: impl Fn(QosClass, u64, u64),
-    ) -> Result<AdmissionPermit<'a>, Shed> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.limit > 0 && state.in_flight >= self.limit {
-            let mut evicted = None;
-            if state.queued() >= self.max_queue {
-                // Queue full. Either a lower-class waiter gives up its
-                // slot to this arrival, or the arrival itself is shed.
-                evicted = Self::preempt_for(&mut state, class)?;
-                self.freed.notify_all();
-            }
-            if let Some(waker) = evicted {
-                // An async victim's waker fires here, before parking. It
-                // never touches the gate (see [`WakerFn`]), so invoking it
-                // under the gate lock cannot deadlock.
-                let (in_flight, queued) = (state.in_flight as u64, state.queued() as u64);
-                waker(AdmitOutcome::Preempted { in_flight, queued });
-            }
-            let ticket = state.next_ticket;
-            state.next_ticket += 1;
-            let index = class.index();
-            state.waiting[index].push_back(ticket);
-            on_queue_depth(
-                class,
-                state.waiting[index].len() as u64,
-                state.queued() as u64,
-            );
-            let registered = clock.thread_is_worker();
-            if registered {
-                clock.enter_passive();
-            }
-            let admitted = loop {
-                if let Some(pos) = state.granted.iter().position(|&t| t == ticket) {
-                    state.granted.swap_remove(pos);
-                    break true;
-                }
-                if let Some(pos) = state.preempted.iter().position(|&t| t == ticket) {
-                    state.preempted.swap_remove(pos);
-                    break false;
-                }
-                state = self
-                    .freed
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            };
-            if registered {
-                clock.exit_passive();
-            }
-            on_queue_depth(
-                class,
-                state.waiting[index].len() as u64,
-                state.queued() as u64,
-            );
-            if !admitted {
-                return Err(Shed {
-                    in_flight: state.in_flight as u64,
-                    queued: state.queued() as u64,
-                });
-            }
-            // The releasing permit transferred its in-flight slot with the
-            // grant, so `in_flight` already counts this request.
-            return Ok(AdmissionPermit { gate: self });
-        }
-        state.in_flight += 1;
-        Ok(AdmissionPermit { gate: self })
-    }
-
-    /// Non-blocking admission for [`Gateway::submit_async`]: admits
-    /// immediately when a slot is free, otherwise queues the ticket with
-    /// `waker` as its continuation — or sheds when the queue is full and
-    /// nobody can be preempted. Mirrors [`AdmissionGate::admit`] except
-    /// that queueing returns instead of parking.
-    fn admit_async(
-        &self,
-        class: QosClass,
-        waker: WakerFn,
-        on_queue_depth: impl Fn(QosClass, u64, u64),
-    ) -> AsyncAdmission {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+    /// The one admission entry of both front doors: admits immediately
+    /// when a slot is free, otherwise queues a ticket carrying the waker
+    /// `make_waker` builds — or sheds when the queue is full and nobody
+    /// can be preempted. Never blocks.
+    fn admit<W: FnOnce() -> WakerFn>(&self, class: QosClass, make_waker: W) -> Admission<W> {
+        let mut state = self.lock();
         if self.limit == 0 || state.in_flight < self.limit {
             state.in_flight += 1;
-            return AsyncAdmission::Admitted(waker);
+            return Admission::Admitted(make_waker);
         }
         let mut evicted = None;
         if state.queued() >= self.max_queue {
-            match Self::preempt_for(&mut state, class) {
-                Ok(evicted_waker) => evicted = evicted_waker,
-                Err(shed) => return AsyncAdmission::Shed(shed, waker),
+            match self.preempt_for(&mut state, class) {
+                Ok(waker) => evicted = Some(waker),
+                Err(shed) => return Admission::Shed(shed, make_waker),
             }
         }
         let ticket = state.next_ticket;
         state.next_ticket += 1;
         let index = class.index();
-        state.waiting[index].push_back(ticket);
-        state.wakers.insert(ticket, waker);
-        on_queue_depth(
-            class,
-            state.waiting[index].len() as u64,
-            state.queued() as u64,
-        );
-        let (in_flight, queued) = (state.in_flight as u64, state.queued() as u64);
+        state.waiting[index].push_back((ticket, make_waker()));
+        self.report_depth(&state, index);
+        let occupancy = state.shed();
         drop(state);
-        self.freed.notify_all();
         if let Some(waker) = evicted {
-            waker(AdmitOutcome::Preempted { in_flight, queued });
+            waker(AdmitOutcome::Preempted(occupancy));
         }
-        AsyncAdmission::Queued(ticket)
+        Admission::Queued(ticket)
     }
 
-    /// Withdraws a queued asynchronous ticket, returning its waker if the
-    /// ticket was still waiting. `None` means the ticket already left the
-    /// queue (granted, preempted, or cancelled) and its waker has fired or
-    /// is about to — the caller must then do nothing.
-    fn cancel_ticket(
-        &self,
-        class: QosClass,
-        ticket: u64,
-        on_queue_depth: impl Fn(QosClass, u64, u64),
-    ) -> Option<WakerFn> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+    /// Withdraws a queued ticket, returning its waker if the ticket was
+    /// still waiting. `None` means the ticket already left the queue
+    /// (granted, preempted, or cancelled) and its waker has fired or is
+    /// about to — the caller must then do nothing.
+    fn cancel(&self, class: QosClass, ticket: u64) -> Option<WakerFn> {
+        let mut state = self.lock();
         let index = class.index();
-        let pos = state.waiting[index].iter().position(|&t| t == ticket)?;
-        state.waiting[index].remove(pos);
-        let waker = state.wakers.remove(&ticket);
-        on_queue_depth(
-            class,
-            state.waiting[index].len() as u64,
-            state.queued() as u64,
-        );
-        waker
+        let pos = state.waiting[index]
+            .iter()
+            .position(|(t, _)| *t == ticket)?;
+        let (_, waker) = state.waiting[index].remove(pos)?;
+        self.report_depth(&state, index);
+        Some(waker)
     }
 
-    /// Removes every queued asynchronous ticket (blocking waiters stay
-    /// parked — their submitter threads still exist) and returns the
-    /// wakers, so shutdown can fail them instead of leaving their handles
-    /// pending forever.
-    fn drain_async(&self) -> Vec<WakerFn> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let wakers = std::mem::take(&mut state.wakers);
-        for queue in &mut state.waiting {
-            queue.retain(|ticket| !wakers.contains_key(ticket));
+    /// Removes every queued ticket and returns the wakers, so shutdown can
+    /// fail them instead of leaving their waiters pending forever.
+    fn drain(&self) -> Vec<WakerFn> {
+        let mut state = self.lock();
+        let mut wakers = Vec::new();
+        for class in 0..CLASS_COUNT {
+            if !state.waiting[class].is_empty() {
+                wakers.extend(state.waiting[class].drain(..).map(|(_, waker)| waker));
+                self.report_depth(&state, class);
+            }
         }
-        wakers.into_values().collect()
+        wakers
     }
 
     /// Releases one in-flight slot: hands it to the next queued waiter
     /// (weighted pick across the class queues) or, with nobody waiting,
-    /// frees it. As in [`AdmissionGate::preempt_for`], the picked class's
-    /// occupancy is re-checked under the lock — an empty pop retries the
-    /// pick instead of panicking on a stale "is nonempty" snapshot.
+    /// frees it. As in [`AdmissionGate::preempt_for`], an empty pop
+    /// retries the pick instead of panicking.
     fn release_slot(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let granted_waker = loop {
+        let mut state = self.lock();
+        let granted = loop {
             let nonempty = std::array::from_fn(|i| !state.waiting[i].is_empty());
             let Some(class) = pick_class(&mut state.wrr, nonempty) else {
                 state.in_flight -= 1;
-                drop(state);
-                self.freed.notify_one();
                 return;
             };
             // Hand the slot straight to the chosen waiter instead of
             // freeing it, so a racing new arrival cannot barge past the
             // queue.
-            if let Some(ticket) = state.waiting[class].pop_front() {
-                if let Some(waker) = state.wakers.remove(&ticket) {
-                    break Some(waker);
-                }
-                state.granted.push(ticket);
-                break None;
+            if let Some((_, waker)) = state.waiting[class].pop_front() {
+                self.report_depth(&state, class);
+                break waker;
             }
         };
         drop(state);
-        self.freed.notify_all();
-        if let Some(waker) = granted_waker {
-            waker(AdmitOutcome::Granted);
-        }
+        granted(AdmitOutcome::Granted);
     }
 }
 
-/// RAII admission slot: dropping it hands the slot to the next queued
-/// waiter (weighted pick across the class queues) or, with nobody
-/// waiting, releases it.
-struct AdmissionPermit<'a> {
-    gate: &'a AdmissionGate,
-}
-
-impl Drop for AdmissionPermit<'_> {
-    fn drop(&mut self) {
-        self.gate.release_slot();
-    }
-}
-
-/// As [`AdmissionPermit`], but owning its service entry so asynchronous
-/// requests — whose submitter returns before the request resolves — can
-/// carry their slot through the event loop.
-struct OwnedPermit {
+/// An admitted request's in-flight slot, owning its service entry so an
+/// asynchronous request can carry it through the event loop. Dropping it
+/// hands the slot to the next queued waiter (weighted pick across the
+/// class queues) or, with nobody waiting, releases it.
+struct Permit {
     entry: ServiceCell,
 }
 
-impl Drop for OwnedPermit {
+impl Drop for Permit {
     fn drop(&mut self) {
         self.entry.gate.release_slot();
     }
@@ -784,6 +666,114 @@ struct Planned {
     quorum: Option<usize>,
 }
 
+/// What names a request in its telemetry, errors, and response.
+#[derive(Clone)]
+struct RequestTag {
+    request_id: u64,
+    service_id: String,
+    class: QosClass,
+}
+
+impl RequestTag {
+    /// Records a shed — queue full at arrival, or preempted out of the
+    /// queue — and returns its error.
+    fn shed(&self, telemetry: &Telemetry, shed: Shed) -> RuntimeError {
+        telemetry.record_shed(&self.service_id, self.class, shed.in_flight, shed.queued);
+        RuntimeError::Overloaded {
+            service_id: self.service_id.clone(),
+            class: self.class,
+            queue_depth: shed.queued,
+        }
+    }
+
+    /// Records a deadline that expired before execution and returns its
+    /// error.
+    fn expired(&self, telemetry: &Telemetry) -> RuntimeError {
+        telemetry.record_deadline_exceeded(&self.service_id, self.request_id, self.class);
+        RuntimeError::DeadlineExceeded {
+            service_id: self.service_id.clone(),
+            class: self.class,
+        }
+    }
+
+    /// How a request whose ticket left the admission queue goes on: `Ok`
+    /// when it was granted a slot, else its recorded refusal.
+    fn admitted(&self, telemetry: &Telemetry, outcome: AdmitOutcome) -> Result<(), RuntimeError> {
+        match outcome {
+            AdmitOutcome::Granted => Ok(()),
+            AdmitOutcome::Preempted(shed) => Err(self.shed(telemetry, shed)),
+            AdmitOutcome::Expired => Err(self.expired(telemetry)),
+            AdmitOutcome::Shutdown => Err(RuntimeError::Shutdown),
+        }
+    }
+}
+
+/// A request resolved against its service by [`Gateway::accept`].
+struct Accepted {
+    tag: RequestTag,
+    entry: ServiceCell,
+    deadline: Option<Duration>,
+    /// The explicit requirement, else the service's live override; `None`
+    /// falls back to the class default once the slot is planned.
+    requirement: Option<Requirements>,
+    payload: Vec<u8>,
+}
+
+/// Everything [`Reply::respond`] needs besides the engine's outcome.
+struct Reply {
+    tag: RequestTag,
+    advisory: Option<QosAdvisory>,
+    strategy: Strategy,
+    names: Vec<String>,
+    slot: u64,
+    origin: StrategyOrigin,
+}
+
+impl Reply {
+    /// Records the finished request (and a deadline prune) in telemetry
+    /// and assembles its response.
+    fn respond(self, telemetry: &Telemetry, outcome: EngineOutcome) -> ServiceResponse {
+        let tag = &self.tag;
+        if outcome.pruned == Some(PruneReason::DeadlineExceeded) {
+            telemetry.record_deadline_exceeded(&tag.service_id, tag.request_id, tag.class);
+        }
+        let (success, payload, votes) = match outcome.completion {
+            Completion::First { success, payload } => (success, payload, None),
+            Completion::Agreement {
+                payload,
+                votes,
+                votes_cast,
+                agreed,
+            } => (agreed, payload, Some((votes, votes_cast))),
+        };
+        telemetry.record_request(
+            &tag.service_id,
+            tag.class,
+            success,
+            outcome.latency,
+            outcome.cost,
+            self.advisory.is_some(),
+            votes,
+        );
+        ServiceResponse {
+            request_id: tag.request_id,
+            class: tag.class,
+            success,
+            payload,
+            latency: outcome.latency,
+            cost: outcome.cost,
+            strategy_text: self.strategy.to_string_with_names(&self.names),
+            strategy: self.strategy,
+            slot: self.slot,
+            origin: self.origin,
+            advisory: self.advisory,
+            votes,
+            pruned: outcome.pruned,
+            prune_detail: outcome.prune_detail,
+        }
+    }
+}
+
 /// The edge gateway.
 ///
 /// # Examples
@@ -805,9 +795,8 @@ pub struct Gateway {
     /// clock events, continuations are heap frames, and
     /// [`GatewayConfig::event_loops`] threads step the whole gateway.
     core: Arc<EventCore<'static>>,
-    /// Routes a blocking leaf to the engine's worker pool. Holds the core
-    /// weakly so a task that outlives the gateway releases its clock slot
-    /// instead of touching freed state.
+    /// Routes the core's blocking leaves to the engine's worker pool (see
+    /// [`ExecutionEngine::spawner`]).
     spawn: Arc<dyn Fn(BlockingTask) + Send + Sync>,
     /// Event-loop threads, spawned lazily on the first `submit_async`,
     /// joined on drop.
@@ -851,19 +840,7 @@ impl Gateway {
         let telemetry = Telemetry::new(Arc::clone(&clock), config.telemetry_events);
         let engine = ExecutionEngine::new(config.worker_pool);
         let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&clock))));
-        let spawn: Arc<dyn Fn(BlockingTask) + Send + Sync> = {
-            let core = Arc::downgrade(&core);
-            let clock = Arc::clone(&clock);
-            let pool = Arc::clone(engine.pool());
-            Arc::new(move |task: BlockingTask| {
-                let core = Weak::clone(&core);
-                let clock = Arc::clone(&clock);
-                pool.submit(Box::new(move || match core.upgrade() {
-                    Some(core) => run_blocking(&core, task),
-                    None => clock.release_worker(),
-                }));
-            })
-        };
+        let spawn = Arc::new(engine.spawner(&core, Arc::clone(&clock)));
         Gateway {
             market,
             registry: Arc::new(Registry::new()),
@@ -928,7 +905,8 @@ impl Gateway {
     /// data. Concurrent invocations of the same service execute in
     /// parallel (planning is serialized per service; execution is not),
     /// bounded by [`GatewayConfig::max_in_flight`] with class-aware
-    /// queueing (see [`QosClass`]).
+    /// queueing (see [`QosClass`]). The request runs on the calling
+    /// thread, which waits in the admission queue when it has to.
     ///
     /// Unset request fields resolve in order: request explicit value →
     /// service live override ([`Gateway::control`]) → gateway
@@ -942,7 +920,33 @@ impl Gateway {
     /// was shed (queue full, or preempted out of its queue slot by a
     /// higher class), or an invalid-script/generation error.
     pub fn submit(&self, request: Request) -> Result<ServiceResponse, RuntimeError> {
-        self.invoke_inner(request)
+        let accepted = self.accept(request)?;
+        // Admission first: it bounds everything the request does from here
+        // on (planning included). A caller that has to queue parks on a
+        // one-shot its waker fills.
+        let parked = std::cell::OnceCell::new();
+        let admission = accepted.entry.gate.admit(accepted.tag.class, || {
+            let shot = Arc::new(HandleShared::new(Arc::clone(&self.clock)));
+            let _ = parked.set(Arc::clone(&shot));
+            Box::new(move |outcome| shot.finish(outcome))
+        });
+        match admission {
+            Admission::Admitted(_) => {}
+            Admission::Queued(_) => {
+                let outcome = parked
+                    .get()
+                    .expect("a queued ticket built its waker")
+                    .wait();
+                accepted.tag.admitted(&self.telemetry, outcome)?;
+            }
+            Admission::Shed(shed, _) => return Err(accepted.tag.shed(&self.telemetry, shed)),
+        }
+        let _permit = Permit {
+            entry: Arc::clone(&accepted.entry),
+        };
+        let (spec, reply) = self.start(accepted, None)?;
+        let outcome = self.engine.execute(spec)?;
+        Ok(reply.respond(&self.telemetry, outcome))
     }
 
     /// Submits a typed [`Request`] without blocking on its completion: the
@@ -952,14 +956,14 @@ impl Gateway {
     /// queued nor an in-flight request holds a thread, so any number of
     /// concurrent requests cost one heap frame each, not one stack each.
     ///
-    /// Field resolution, admission, planning, execution, and telemetry are
-    /// identical to [`Gateway::submit`], with two differences inherent to
-    /// the asynchronous shape: the deadline is measured from submission
-    /// (a request whose deadline expires while still queued fails with
-    /// [`RuntimeError::DeadlineExceeded`] without ever executing), and
-    /// errors after admission — shed by preemption, planning failure,
-    /// shutdown — are delivered through [`RequestHandle::wait`] rather
-    /// than this call.
+    /// Field resolution, admission, planning, and response assembly are
+    /// the same steps [`Gateway::submit`] runs, with two differences
+    /// inherent to the asynchronous shape: the deadline is measured from
+    /// submission (a request whose deadline expires while still queued
+    /// fails with [`RuntimeError::DeadlineExceeded`] without ever
+    /// executing), and errors after admission — shed by preemption,
+    /// planning failure, shutdown — are delivered through
+    /// [`RequestHandle::wait`] rather than this call.
     ///
     /// # Errors
     ///
@@ -968,6 +972,109 @@ impl Gateway {
     /// at submission. All later failures surface through the handle.
     pub fn submit_async(self: &Arc<Self>, request: Request) -> Result<RequestHandle, RuntimeError> {
         self.ensure_loops();
+        let accepted = self.accept(request)?;
+        let epoch = self.clock.now();
+        let tag = accepted.tag.clone();
+        let (request_id, class, deadline) = (tag.request_id, tag.class, accepted.deadline);
+        let entry = Arc::clone(&accepted.entry);
+        let shared = Arc::new(HandleShared::new(Arc::clone(&self.clock)));
+
+        // The admitted continuation: planning, engine submission, and the
+        // response-assembling done-callback, all running on an event-loop
+        // thread. If the task is ever dropped unrun (shutdown), the
+        // FinishGuard inside fails the handle instead of leaving its
+        // waiter parked forever.
+        let task: TaskFn<'static> = {
+            let gateway = Arc::downgrade(self);
+            // The guard is captured (not created inside the body) so a
+            // task discarded unrun — e.g. posted to an already shut-down
+            // core — still resolves the handle from its drop.
+            let finish = FinishGuard::new(Arc::clone(&shared));
+            Box::new(move || {
+                let permit = Permit {
+                    entry: Arc::clone(&accepted.entry),
+                };
+                let Some(gateway) = gateway.upgrade() else {
+                    return;
+                };
+                let (spec, reply) = match gateway.start(accepted, Some(epoch)) {
+                    Ok(started) => started,
+                    Err(error) => return finish.finish(Err(error)),
+                };
+                let telemetry = Arc::clone(&gateway.telemetry);
+                let done: DoneFn<'static> = Box::new(move |result| {
+                    // The permit outlives the finish call so the freed
+                    // admission slot is handed over only after the handle
+                    // resolves.
+                    let _slot = permit;
+                    match result {
+                        RequestResult::Finished(outcome) => {
+                            finish.finish(Ok(reply.respond(&telemetry, outcome)));
+                        }
+                        RequestResult::Panicked(panic) => finish.finish_panic(panic),
+                        RequestResult::Shutdown => finish.finish(Err(RuntimeError::Shutdown)),
+                    }
+                });
+                gateway
+                    .core
+                    .submit(spec.into_request(done), &*gateway.spawn);
+            })
+        };
+
+        // The waker owns the continuation and fires exactly once, however
+        // the ticket leaves the queue.
+        let waker: WakerFn = {
+            let telemetry = Arc::clone(&self.telemetry);
+            let core = Arc::clone(&self.core);
+            let shared = Arc::clone(&shared);
+            let tag = tag.clone();
+            Box::new(move |outcome| match tag.admitted(&telemetry, outcome) {
+                Ok(()) => core.post_task(task),
+                // Dropping the unrun task fires its FinishGuard, whose late
+                // Shutdown loses to this result (first wins).
+                Err(error) => shared.resolve(Err(error)),
+            })
+        };
+
+        match entry.gate.admit(class, || waker) {
+            // The slot is counted; run the continuation on the event loop
+            // exactly like a deferred grant.
+            Admission::Admitted(waker) => waker()(AdmitOutcome::Granted),
+            Admission::Queued(ticket) => {
+                if let Some(deadline) = deadline {
+                    let entry = Arc::clone(&entry);
+                    self.core.schedule_task(
+                        epoch + deadline,
+                        Box::new(move || {
+                            if let Some(waker) = entry.gate.cancel(class, ticket) {
+                                waker(AdmitOutcome::Expired);
+                            }
+                        }),
+                    );
+                }
+            }
+            // The handle is never returned, so the waker (and the
+            // continuation inside it) is simply discarded.
+            Admission::Shed(shed, _) => return Err(tag.shed(&self.telemetry, shed)),
+        }
+
+        Ok(RequestHandle {
+            request_id,
+            class,
+            shared,
+        })
+    }
+
+    /// The first step of both front doors: assigns the request id, finds
+    /// the service entry, and resolves the class and deadline (request →
+    /// live override → configuration → class default).
+    ///
+    /// A zero deadline can never be met: it is rejected here, before
+    /// admission, so it neither occupies a queue slot nor enters the
+    /// engine (where it would charge the cost of its started leaves before
+    /// the first prune check). Counted as exactly one deadline-exceeded
+    /// event.
+    fn accept(&self, request: Request) -> Result<Accepted, RuntimeError> {
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let (service_id, explicit_class, explicit_deadline, explicit_requirement, payload) =
             request.into_parts();
@@ -978,305 +1085,53 @@ impl Gateway {
             .or(overrides.deadline)
             .or(self.config.request_deadline)
             .or_else(|| class.default_deadline());
-        if deadline == Some(Duration::ZERO) {
-            self.telemetry
-                .record_deadline_exceeded(&service_id, request_id, class);
-            return Err(RuntimeError::DeadlineExceeded { service_id, class });
-        }
-        let abs_deadline = deadline.map(|d| self.clock.now() + d);
-        let shared = Arc::new(HandleShared {
-            clock: Arc::clone(&self.clock),
-            slot: StdMutex::new(None),
-            done: Condvar::new(),
-        });
-
-        // The admitted continuation: planning, engine submission, and the
-        // response-assembling done-callback, all running on an event-loop
-        // thread. If the task is ever dropped unrun (shutdown), the
-        // FinishGuard inside fails the handle instead of leaving its
-        // waiter parked forever.
-        let task: TaskFn<'static> = {
-            let gateway = Arc::downgrade(self);
-            let entry = Arc::clone(&entry);
-            // The guard is captured (not created inside the body) so a
-            // task discarded unrun — e.g. posted to an already shut-down
-            // core — still resolves the handle from its drop.
-            let finish = FinishGuard::new(Arc::clone(&shared));
-            let service_id = service_id.clone();
-            let requirement_override = overrides.requirement;
-            Box::new(move || {
-                let permit = OwnedPermit {
-                    entry: Arc::clone(&entry),
-                };
-                let Some(gateway) = gateway.upgrade() else {
-                    return;
-                };
-                // The deadline may have passed while the ticket was queued
-                // (the scheduled cancellation races the grant): reject
-                // before planning, never entering the engine. Exactly one
-                // of this check and the cancellation task fires — whichever
-                // removes the ticket/runs the continuation first.
-                if let Some(abs) = abs_deadline {
-                    if gateway.clock.now() >= abs {
-                        gateway
-                            .telemetry
-                            .record_deadline_exceeded(&service_id, request_id, class);
-                        finish.finish(Err(RuntimeError::DeadlineExceeded { service_id, class }));
-                        return;
-                    }
-                }
-                let planned = match gateway.plan_slot(&service_id, &entry) {
-                    Ok(planned) => planned,
-                    Err(error) => return finish.finish(Err(error)),
-                };
-                if let Err(error) = crate::engine::validate(&planned.strategy, &planned.providers) {
-                    return finish.finish(Err(error));
-                }
-                let requirement = explicit_requirement
-                    .or(requirement_override)
-                    .unwrap_or_else(|| class.default_requirement(&planned.base_requirements));
-                let advisory = planned.estimated.and_then(|estimated| {
-                    let violations = requirement.violations(&estimated);
-                    (!violations.is_empty()).then_some(QosAdvisory {
-                        estimated,
-                        violations,
-                    })
-                });
-                let mut budget = Budget::unlimited()
-                    .with_class(class)
-                    .with_parent_flag(Arc::clone(&entry.evicted));
-                if let Some(abs) = abs_deadline {
-                    budget = budget.with_deadline(abs);
-                }
-                let policy = match planned.quorum {
-                    Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
-                    _ => CompletionPolicy::FirstSuccess,
-                };
-                let invocation = Invocation::new(request_id, service_id.clone(), payload);
-                let Planned {
-                    strategy,
-                    providers,
-                    names,
-                    slot,
-                    origin,
-                    ..
-                } = planned;
-                let telemetry = Arc::clone(&gateway.telemetry);
-                let response_strategy = strategy.clone();
-                let done: DoneFn<'static> = Box::new(move |result| {
-                    // The permit outlives the finish call so the freed
-                    // admission slot is handed over only after the handle
-                    // resolves.
-                    let _slot = permit;
-                    match result {
-                        RequestResult::Finished(outcome) => {
-                            let pruned = outcome.pruned;
-                            let prune_detail = outcome.prune_detail;
-                            if pruned == Some(PruneReason::DeadlineExceeded) {
-                                telemetry.record_deadline_exceeded(&service_id, request_id, class);
-                            }
-                            let latency = outcome.latency;
-                            let cost = outcome.cost;
-                            let (success, payload, votes) = match outcome.completion {
-                                Completion::First { success, payload } => (success, payload, None),
-                                Completion::Agreement {
-                                    payload,
-                                    votes,
-                                    votes_cast,
-                                    agreed,
-                                } => (agreed, payload, Some((votes, votes_cast))),
-                            };
-                            telemetry.record_request(
-                                &service_id,
-                                class,
-                                success,
-                                latency,
-                                cost,
-                                advisory.is_some(),
-                                votes,
-                            );
-                            finish.finish(Ok(ServiceResponse {
-                                request_id,
-                                class,
-                                success,
-                                payload,
-                                latency,
-                                cost,
-                                strategy_text: response_strategy.to_string_with_names(&names),
-                                strategy: response_strategy,
-                                slot,
-                                origin,
-                                advisory,
-                                votes,
-                                pruned,
-                                prune_detail,
-                            }));
-                        }
-                        RequestResult::Panicked(panic) => finish.finish_panic(panic),
-                        RequestResult::Shutdown => finish.finish(Err(RuntimeError::Shutdown)),
-                    }
-                });
-                gateway.core.submit(
-                    RequestSpec {
-                        strategy: Shared::Owned(Arc::new(strategy)),
-                        providers: Shared::Owned(providers.into()),
-                        request: Shared::Owned(Arc::new(invocation)),
-                        collector: Some(Shared::Owned(Arc::clone(&gateway.collector))),
-                        telemetry: Some(Shared::Owned(Arc::clone(&gateway.telemetry))),
-                        budget,
-                        policy: PolicyState::new(policy),
-                        done,
-                    },
-                    &*gateway.spawn,
-                );
-            })
-        };
-
-        // The waker owns the continuation and fires exactly once, however
-        // the ticket leaves the queue.
-        let waker: WakerFn = {
-            let telemetry = Arc::clone(&self.telemetry);
-            let core = Arc::clone(&self.core);
-            let shared = Arc::clone(&shared);
-            let service_id = service_id.clone();
-            Box::new(move |outcome| match outcome {
-                AdmitOutcome::Granted => core.post_task(task),
-                AdmitOutcome::Preempted { in_flight, queued } => {
-                    telemetry.record_shed(&service_id, class, in_flight, queued);
-                    shared.finish(Err(RuntimeError::Overloaded {
-                        service_id: service_id.clone(),
-                        class,
-                        queue_depth: queued,
-                    }));
-                    // Dropping the unrun task fires its FinishGuard, whose
-                    // late Shutdown loses to the result above (first wins).
-                }
-                AdmitOutcome::Expired => {
-                    telemetry.record_deadline_exceeded(&service_id, request_id, class);
-                    shared.finish(Err(RuntimeError::DeadlineExceeded {
-                        service_id: service_id.clone(),
-                        class,
-                    }));
-                }
-                AdmitOutcome::Shutdown => drop(task),
-            })
-        };
-
-        match entry
-            .gate
-            .admit_async(class, waker, |c, class_depth, total| {
-                self.telemetry.record_admission_queue(&service_id, total);
-                self.telemetry
-                    .record_class_queue_depth(&service_id, c, class_depth);
-            }) {
-            AsyncAdmission::Admitted(waker) => {
-                // The slot is counted; run the continuation on the event
-                // loop exactly like a deferred grant.
-                waker(AdmitOutcome::Granted);
-            }
-            AsyncAdmission::Queued(ticket) => {
-                if let Some(abs) = abs_deadline {
-                    let gateway = Arc::downgrade(self);
-                    let entry = Arc::clone(&entry);
-                    let service_id = service_id.clone();
-                    self.core.schedule_task(
-                        abs,
-                        Box::new(move || {
-                            let Some(gateway) = gateway.upgrade() else {
-                                return;
-                            };
-                            let waker =
-                                entry
-                                    .gate
-                                    .cancel_ticket(class, ticket, |c, class_depth, total| {
-                                        gateway
-                                            .telemetry
-                                            .record_admission_queue(&service_id, total);
-                                        gateway.telemetry.record_class_queue_depth(
-                                            &service_id,
-                                            c,
-                                            class_depth,
-                                        );
-                                    });
-                            if let Some(waker) = waker {
-                                waker(AdmitOutcome::Expired);
-                            }
-                        }),
-                    );
-                }
-            }
-            AsyncAdmission::Shed(shed, waker) => {
-                // The handle is never returned, so the waker (and the
-                // continuation inside it) is simply discarded.
-                drop(waker);
-                self.telemetry
-                    .record_shed(&service_id, class, shed.in_flight, shed.queued);
-                return Err(RuntimeError::Overloaded {
-                    service_id,
-                    class,
-                    queue_depth: shed.queued,
-                });
-            }
-        }
-
-        Ok(RequestHandle {
+        let tag = RequestTag {
             request_id,
+            service_id,
             class,
-            shared,
+        };
+        if deadline == Some(Duration::ZERO) {
+            return Err(tag.expired(&self.telemetry));
+        }
+        Ok(Accepted {
+            tag,
+            entry,
+            deadline,
+            requirement: explicit_requirement.or(overrides.requirement),
+            payload,
         })
     }
 
-    /// The single invocation path behind [`Gateway::submit`]: admission,
-    /// script fetch/planning, engine execution, telemetry.
-    fn invoke_inner(&self, request: Request) -> Result<ServiceResponse, RuntimeError> {
-        let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let (service_id, explicit_class, explicit_deadline, explicit_requirement, payload) =
-            request.into_parts();
-        let service_id = service_id.as_str();
-        let entry = self.service_entry(service_id);
-        let overrides = *entry.overrides.lock();
-        let class = explicit_class.or(overrides.class).unwrap_or_default();
-        let deadline = explicit_deadline
-            .or(overrides.deadline)
-            .or(self.config.request_deadline)
-            .or_else(|| class.default_deadline());
-
-        // A zero deadline can never be met: reject it here, before
-        // admission, so it neither occupies a queue slot nor enters the
-        // engine (where it would charge the cost of its started leaves
-        // before the first prune check). Counted as exactly one
-        // deadline-exceeded event.
-        if deadline == Some(Duration::ZERO) {
-            self.telemetry
-                .record_deadline_exceeded(service_id, request_id, class);
-            return Err(RuntimeError::DeadlineExceeded {
-                service_id: service_id.to_string(),
-                class,
-            });
-        }
-
-        // Admission first: it bounds everything the request does from here
-        // on (planning included). Shedding here keeps an overloaded
-        // service's queue — and the gateway's thread usage — bounded.
-        let _permit = match entry
-            .gate
-            .admit(class, &*self.clock, |c, class_depth, total| {
-                self.telemetry.record_admission_queue(service_id, total);
-                self.telemetry
-                    .record_class_queue_depth(service_id, c, class_depth);
-            }) {
-            Ok(permit) => permit,
-            Err(shed) => {
-                self.telemetry
-                    .record_shed(service_id, class, shed.in_flight, shed.queued);
-                return Err(RuntimeError::Overloaded {
-                    service_id: service_id.to_string(),
-                    class,
-                    queue_depth: shed.queued,
-                });
+    /// The step after admission, shared by both front doors: plans the
+    /// slot, validates the plan, judges the advisory, and sets the budget
+    /// and completion policy. Returns the engine inputs and the [`Reply`]
+    /// that turns the engine's outcome into the response.
+    ///
+    /// `epoch` is the instant the deadline counts from: the submission
+    /// instant for an asynchronous request — which is rejected here, before
+    /// planning, if its deadline passed while it was queued — or `None`
+    /// for a blocking one, whose deadline starts now, as it begins
+    /// executing.
+    fn start(
+        &self,
+        accepted: Accepted,
+        epoch: Option<Duration>,
+    ) -> Result<(ExecSpec, Reply), RuntimeError> {
+        let Accepted {
+            tag,
+            entry,
+            deadline,
+            requirement,
+            payload,
+        } = accepted;
+        // Exactly one of this check and the queue-deadline cancellation
+        // fires for a queued request — whichever removes the ticket or
+        // runs the continuation first.
+        if let (Some(epoch), Some(deadline)) = (epoch, deadline) {
+            if self.clock.now() >= epoch + deadline {
+                return Err(tag.expired(&self.telemetry));
             }
-        };
-
+        }
         let Planned {
             strategy,
             providers,
@@ -1286,93 +1141,51 @@ impl Gateway {
             estimated,
             base_requirements,
             quorum,
-        } = self.plan_slot(service_id, &entry)?;
+        } = self.plan_slot(&tag.service_id, &entry)?;
+        crate::engine::validate(&strategy, &providers)?;
 
         // The advisory judges the slot's estimated QoS against *this
         // request's* effective requirement (explicit → live override →
         // class default over the script's requirements), so a Scavenger
         // probe does not raise alarms calibrated for interactive clients.
-        let requirement = explicit_requirement
-            .or(overrides.requirement)
-            .unwrap_or_else(|| class.default_requirement(&base_requirements));
+        let requirement =
+            requirement.unwrap_or_else(|| tag.class.default_requirement(&base_requirements));
         let advisory = estimated.and_then(|estimated| {
             let violations = requirement.violations(&estimated);
-            if violations.is_empty() {
-                None
-            } else {
-                Some(QosAdvisory {
-                    estimated,
-                    violations,
-                })
-            }
+            (!violations.is_empty()).then_some(QosAdvisory {
+                estimated,
+                violations,
+            })
         });
-
-        let request = Invocation::new(request_id, service_id.to_string(), payload);
         let mut budget = Budget::unlimited()
-            .with_class(class)
+            .with_class(tag.class)
             .with_parent_flag(Arc::clone(&entry.evicted));
         if let Some(deadline) = deadline {
-            budget = budget.with_deadline(self.clock.now() + deadline);
+            budget = budget.with_deadline(epoch.unwrap_or_else(|| self.clock.now()) + deadline);
         }
         let policy = match quorum {
             Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
             _ => CompletionPolicy::FirstSuccess,
         };
-        let outcome = self.engine.execute(ExecSpec {
+        let spec = ExecSpec {
             strategy: strategy.clone(),
             providers,
-            request,
+            request: Invocation::new(tag.request_id, tag.service_id.clone(), payload),
             collector: Some(Arc::clone(&self.collector)),
             telemetry: Some(Arc::clone(&self.telemetry)),
             clock: Arc::clone(&self.clock),
             budget,
             policy,
-        })?;
-
-        let pruned = outcome.pruned;
-        let prune_detail = outcome.prune_detail;
-        if pruned == Some(PruneReason::DeadlineExceeded) {
-            self.telemetry
-                .record_deadline_exceeded(service_id, request_id, class);
-        }
-        let latency = outcome.latency;
-        let cost = outcome.cost;
-        let (success, payload, votes) = match outcome.completion {
-            Completion::First { success, payload } => (success, payload, None),
-            Completion::Agreement {
-                payload,
-                votes,
-                votes_cast,
-                agreed,
-            } => (agreed, payload, Some((votes, votes_cast))),
         };
-
-        self.telemetry.record_request(
-            service_id,
-            class,
-            success,
-            latency,
-            cost,
-            advisory.is_some(),
-            votes,
-        );
-
-        Ok(ServiceResponse {
-            request_id,
-            class,
-            success,
-            payload,
-            latency,
-            cost,
-            strategy_text: strategy.to_string_with_names(&names),
+        let reply = Reply {
+            tag,
+            advisory,
             strategy,
+            names,
             slot,
             origin,
-            advisory,
-            votes,
-            pruned,
-            prune_detail,
-        })
+        };
+        Ok((spec, reply))
     }
 
     /// Fetches/validates the script and plans (or reuses) the slot's
@@ -1582,7 +1395,12 @@ impl Gateway {
         Arc::clone(services.entry(service_id.to_string()).or_insert_with(|| {
             Arc::new(ServiceEntry {
                 cell: Mutex::new(None),
-                gate: AdmissionGate::new(config.max_in_flight, config.admission_queue),
+                gate: AdmissionGate::new(
+                    config.max_in_flight,
+                    config.admission_queue,
+                    service_id,
+                    Arc::clone(&self.telemetry),
+                ),
                 overrides: Mutex::new(ServiceOverrides::default()),
                 evicted: Arc::new(AtomicBool::new(false)),
             })
@@ -1829,12 +1647,13 @@ impl Gateway {
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        // Queued async admissions first: nobody will ever grant them, so
-        // their wakers fail the handles with `Shutdown` instead of leaving
-        // waiters parked forever.
+        // Queued admissions first: nobody will ever grant them, so their
+        // wakers fail the handles with `Shutdown` instead of leaving
+        // waiters parked forever. (Every queued ticket is asynchronous: a
+        // blocking submitter borrows the gateway, so it cannot drop.)
         let entries: Vec<ServiceCell> = self.services.read().values().map(Arc::clone).collect();
         for entry in entries {
-            for waker in entry.gate.drain_async() {
+            for waker in entry.gate.drain() {
                 waker(AdmitOutcome::Shutdown);
             }
         }
@@ -1843,8 +1662,14 @@ impl Drop for Gateway {
         // still running on the pool release their orphaned clock slots when
         // they post into the shut-down core.
         self.core.shutdown();
+        // A continuation on a loop thread can hold the last reference (it
+        // upgrades its weak gateway while it runs); that loop is exiting
+        // and must not join itself.
+        let current = std::thread::current().id();
         for handle in self.loops.lock().drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -1858,27 +1683,79 @@ enum HandleResult {
     Panicked(PanicPayload),
 }
 
-/// State shared between a [`RequestHandle`] and the event-loop side that
-/// resolves it. The first `finish` wins; later calls (e.g. a shutdown
-/// guard racing a preemption result) are ignored.
-struct HandleShared {
+/// A one-shot slot one thread parks on until another fills it: an
+/// asynchronous request's [`RequestHandle`] (`T` = [`HandleResult`]), or a
+/// blocking caller queued for admission (`T` = [`AdmitOutcome`]). The
+/// first `finish` wins; later calls (e.g. a shutdown guard racing a
+/// preemption result) are ignored.
+struct HandleShared<T> {
     clock: Arc<dyn Clock>,
-    slot: StdMutex<Option<HandleResult>>,
+    slot: StdMutex<Option<T>>,
     done: Condvar,
 }
 
-impl HandleShared {
-    fn finish(&self, result: Result<ServiceResponse, RuntimeError>) {
-        self.park(HandleResult::Done(Box::new(result)));
+impl<T> HandleShared<T> {
+    fn new(clock: Arc<dyn Clock>) -> Self {
+        HandleShared {
+            clock,
+            slot: StdMutex::new(None),
+            done: Condvar::new(),
+        }
     }
 
-    fn park(&self, result: HandleResult) {
+    fn finish(&self, value: T) {
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
-            *slot = Some(result);
+            *slot = Some(value);
             drop(slot);
             self.done.notify_all();
         }
+    }
+
+    fn take(&self) -> Option<T> {
+        self.slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    }
+
+    /// Parks until the slot is filled. The wait is a plain OS condvar, not
+    /// a clock sleep: an unregistered caller stays invisible to
+    /// [`VirtualClock`](crate::VirtualClock) accounting, and a caller that
+    /// **is** a registered clock worker (e.g. a load generator that pins
+    /// its client threads to virtual time) is marked passive for the
+    /// duration, so its wait never stalls the virtual time the filler
+    /// needs.
+    fn wait(&self) -> T {
+        let registered = self.clock.thread_is_worker();
+        if registered {
+            self.clock.enter_passive();
+        }
+        let value = {
+            let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+            loop {
+                if let Some(value) = slot.take() {
+                    break value;
+                }
+                slot = self.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        if registered {
+            self.clock.exit_passive();
+        }
+        value
+    }
+}
+
+impl HandleShared<HandleResult> {
+    fn resolve(&self, result: Result<ServiceResponse, RuntimeError>) {
+        self.finish(HandleResult::Done(Box::new(result)));
+    }
+}
+
+impl<T> std::fmt::Debug for HandleShared<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HandleShared").finish_non_exhaustive()
     }
 }
 
@@ -1888,11 +1765,11 @@ impl HandleShared {
 /// it with [`RuntimeError::Shutdown`] so [`RequestHandle::wait`] can never
 /// park forever. Explicit finishes consume the guard.
 struct FinishGuard {
-    shared: Option<Arc<HandleShared>>,
+    shared: Option<Arc<HandleShared<HandleResult>>>,
 }
 
 impl FinishGuard {
-    fn new(shared: Arc<HandleShared>) -> Self {
+    fn new(shared: Arc<HandleShared<HandleResult>>) -> Self {
         FinishGuard {
             shared: Some(shared),
         }
@@ -1900,13 +1777,13 @@ impl FinishGuard {
 
     fn finish(mut self, result: Result<ServiceResponse, RuntimeError>) {
         if let Some(shared) = self.shared.take() {
-            shared.finish(result);
+            shared.resolve(result);
         }
     }
 
     fn finish_panic(mut self, panic: PanicPayload) {
         if let Some(shared) = self.shared.take() {
-            shared.park(HandleResult::Panicked(panic));
+            shared.finish(HandleResult::Panicked(panic));
         }
     }
 }
@@ -1914,7 +1791,7 @@ impl FinishGuard {
 impl Drop for FinishGuard {
     fn drop(&mut self) {
         if let Some(shared) = self.shared.take() {
-            shared.finish(Err(RuntimeError::Shutdown));
+            shared.resolve(Err(RuntimeError::Shutdown));
         }
     }
 }
@@ -1929,13 +1806,7 @@ impl Drop for FinishGuard {
 pub struct RequestHandle {
     request_id: u64,
     class: QosClass,
-    shared: Arc<HandleShared>,
-}
-
-impl std::fmt::Debug for HandleShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HandleShared").finish_non_exhaustive()
-    }
+    shared: Arc<HandleShared<HandleResult>>,
 }
 
 impl RequestHandle {
@@ -1958,17 +1829,8 @@ impl RequestHandle {
     ///
     /// As [`RequestHandle::wait`], once resolved.
     pub fn try_wait(self) -> Result<Result<ServiceResponse, RuntimeError>, Self> {
-        let resolved = {
-            let mut slot = self
-                .shared
-                .slot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            slot.take()
-        };
-        match resolved {
-            Some(HandleResult::Done(result)) => Ok(*result),
-            Some(HandleResult::Panicked(panic)) => std::panic::resume_unwind(panic),
+        match self.shared.take() {
+            Some(resolved) => Ok(Self::unpack(resolved)),
             None => Err(self),
         }
     }
@@ -1976,9 +1838,9 @@ impl RequestHandle {
     /// Parks until the request resolves and returns its response.
     ///
     /// A caller registered as a worker of the gateway's clock is marked
-    /// passive for the duration of the wait (exactly as a queued blocking
-    /// submit would be), so waiting on a handle never stalls the virtual
-    /// time its own request needs to complete.
+    /// passive for the duration of the wait (exactly as a blocking submit
+    /// queued for admission is), so waiting on a handle never stalls the
+    /// virtual time its own request needs to complete.
     ///
     /// If a provider panicked during the request, the panic resumes here,
     /// on the thread that collects the result — the event loop itself is
@@ -1991,31 +1853,11 @@ impl RequestHandle {
     /// request resolved and [`RuntimeError::DeadlineExceeded`] when the
     /// deadline expired while the request was still queued.
     pub fn wait(self) -> Result<ServiceResponse, RuntimeError> {
-        let registered = self.shared.clock.thread_is_worker();
-        if registered {
-            self.shared.clock.enter_passive();
-        }
-        let result = {
-            let mut slot = self
-                .shared
-                .slot
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(result) = slot.take() {
-                    break result;
-                }
-                slot = self
-                    .shared
-                    .done
-                    .wait(slot)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        if registered {
-            self.shared.clock.exit_passive();
-        }
-        match result {
+        Self::unpack(self.shared.wait())
+    }
+
+    fn unpack(resolved: HandleResult) -> Result<ServiceResponse, RuntimeError> {
+        match resolved {
             HandleResult::Done(result) => *result,
             HandleResult::Panicked(panic) => std::panic::resume_unwind(panic),
         }
@@ -2825,6 +2667,91 @@ mod tests {
         assert_eq!(svc.invocations, 2);
     }
 
+    /// The asynchronous twin of `queued_request_waits_for_a_slot_and_proceeds`.
+    /// Bugfix regression: a ticket granted a slot or preempted out of the
+    /// queue used to leave without reporting the new queue depth, so the
+    /// service and class gauges stayed stuck above zero at quiescence.
+    #[test]
+    fn queued_async_request_waits_for_a_slot_and_gauges_drain() {
+        use crate::clock::{VirtualClock, WorkerGuard};
+
+        let gateway_with = |admission_queue: usize| {
+            let clock = Arc::new(VirtualClock::new());
+            let config = GatewayConfig::builder()
+                .max_in_flight(1)
+                .admission_queue(admission_queue)
+                .build();
+            let gateway = Arc::new(Gateway::with_clock(
+                market_with(one_ms_script()),
+                config,
+                Arc::clone(&clock) as Arc<dyn Clock>,
+            ));
+            gateway.registry().register(
+                SimulatedProvider::builder("dev/cap-a", "cap-a")
+                    .cost(50.0)
+                    .latency(Duration::from_millis(5))
+                    .reliability(1.0)
+                    .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+                    .build(),
+            );
+            (clock, gateway)
+        };
+        let assert_drained = |gateway: &Gateway, classes: &[QosClass]| {
+            let snapshot = gateway.telemetry().snapshot();
+            let svc = snapshot.service("svc").unwrap();
+            assert_eq!(svc.admission_queue_peak, 1);
+            assert_eq!(svc.admission_queue_depth, 0, "service gauge drained");
+            for &class in classes {
+                let row = svc.class(class).unwrap();
+                assert_eq!(row.queue_peak, 1, "{class} queued");
+                assert_eq!(row.queue_depth, 0, "{class} gauge drained");
+            }
+        };
+
+        // A grant: the second request queues behind the first.
+        let (clock, gateway) = gateway_with(4);
+        let (first, second) = {
+            let _pin = WorkerGuard::enter(&*clock);
+            let first = gateway.submit_async(Request::new("svc")).unwrap();
+            let second = gateway.submit_async(Request::new("svc")).unwrap();
+            (first, second)
+        };
+        assert!(first.wait().unwrap().success);
+        assert!(second.wait().unwrap().success);
+        assert_eq!(
+            gateway
+                .telemetry()
+                .snapshot()
+                .service("svc")
+                .unwrap()
+                .invocations,
+            2
+        );
+        assert_drained(&gateway, &[QosClass::Interactive]);
+
+        // A preemption: the queued Scavenger gives its slot to a Critical
+        // arrival, which is then granted.
+        let (clock, gateway) = gateway_with(1);
+        let (running, scavenger, critical) = {
+            let _pin = WorkerGuard::enter(&*clock);
+            let running = gateway.submit_async(Request::new("svc")).unwrap();
+            let scavenger = gateway
+                .submit_async(Request::new("svc").class(QosClass::Scavenger))
+                .unwrap();
+            let critical = gateway
+                .submit_async(Request::new("svc").class(QosClass::Critical))
+                .unwrap();
+            (running, scavenger, critical)
+        };
+        assert!(matches!(
+            scavenger.wait(),
+            Err(RuntimeError::Overloaded { .. })
+        ));
+        assert!(running.wait().unwrap().success);
+        assert!(critical.wait().unwrap().success);
+        assert_drained(&gateway, &[QosClass::Scavenger, QosClass::Critical]);
+    }
+
     /// A caller that is already a registered clock worker (a load
     /// generator that pins its clients to virtual time) must park
     /// *passively* while queued for admission: if its condvar wait counted
@@ -3047,10 +2974,11 @@ mod tests {
     #[test]
     fn preemption_sheds_scavengers_first_and_lets_critical_preempt() {
         let victim = AdmissionGate::preemption_victim;
+        let waiter = |ticket: u64| -> (u64, WakerFn) { (ticket, Box::new(|_| {})) };
         let mut state = GateState::default();
         assert_eq!(victim(&state, QosClass::Critical), None, "empty queue");
 
-        state.waiting[QosClass::Scavenger.index()].push_back(1);
+        state.waiting[QosClass::Scavenger.index()].push_back(waiter(1));
         assert_eq!(
             victim(&state, QosClass::Bulk),
             Some(QosClass::Scavenger.index()),
@@ -3059,7 +2987,7 @@ mod tests {
         assert_eq!(victim(&state, QosClass::Scavenger), None, "not to a peer");
 
         state.waiting[QosClass::Scavenger.index()].clear();
-        state.waiting[QosClass::Bulk.index()].push_back(2);
+        state.waiting[QosClass::Bulk.index()].push_back(waiter(2));
         assert_eq!(
             victim(&state, QosClass::Interactive),
             None,
@@ -3070,7 +2998,7 @@ mod tests {
             Some(QosClass::Bulk.index())
         );
 
-        state.waiting[QosClass::Interactive.index()].push_back(3);
+        state.waiting[QosClass::Interactive.index()].push_back(waiter(3));
         assert_eq!(
             victim(&state, QosClass::Critical),
             Some(QosClass::Bulk.index()),
@@ -3083,7 +3011,7 @@ mod tests {
         );
 
         state.waiting[QosClass::Interactive.index()].clear();
-        state.waiting[QosClass::Critical.index()].push_back(4);
+        state.waiting[QosClass::Critical.index()].push_back(waiter(4));
         assert_eq!(
             victim(&state, QosClass::Critical),
             None,
@@ -3481,89 +3409,59 @@ mod tests {
     fn ticket_cancellation_racing_preemption_and_release_never_panics() {
         use std::sync::atomic::AtomicUsize;
 
-        let gate = Arc::new(AdmissionGate::new(1, 2));
+        let telemetry = Telemetry::new(Arc::new(WallClock::new()), 16);
+        let gate = Arc::new(AdmissionGate::new(1, 2, "svc", telemetry));
         // Occupy the single in-flight slot for the whole race so every
         // arrival goes through the queue paths.
-        let permit = gate.admit(QosClass::Bulk, &WallClock::new(), |_, _, _| {});
-        let permit = match permit {
-            Ok(permit) => permit,
-            Err(_) => panic!("empty gate admits"),
-        };
+        let unused = || -> WakerFn { unreachable!("an empty gate admits without queueing") };
+        assert!(matches!(
+            gate.admit(QosClass::Bulk, unused),
+            Admission::Admitted(_)
+        ));
         let fired = Arc::new(AtomicUsize::new(0));
         let rounds = 200;
-        std::thread::scope(|scope| {
-            // Scavengers queue asynchronously and their tickets are
-            // cancelled concurrently (the queue-deadline path).
-            let canceller = {
-                let gate = Arc::clone(&gate);
-                let fired = Arc::clone(&fired);
-                scope.spawn(move || {
-                    for _ in 0..rounds {
-                        let fired = Arc::clone(&fired);
-                        match gate.admit_async(
-                            QosClass::Scavenger,
-                            Box::new(move |_| {
-                                fired.fetch_add(1, Ordering::SeqCst);
-                            }),
-                            |_, _, _| {},
-                        ) {
-                            AsyncAdmission::Queued(ticket) => {
+        // One side of the race: `class` arrivals queue and cancel their own
+        // tickets (the queue-deadline path), `pause` yielding in between.
+        let contend = |class: QosClass, pause: bool| {
+            let gate = Arc::clone(&gate);
+            let fired = Arc::clone(&fired);
+            move || {
+                for _ in 0..rounds {
+                    let fired = Arc::clone(&fired);
+                    let waker = move || -> WakerFn {
+                        Box::new(move |_| {
+                            fired.fetch_add(1, Ordering::SeqCst);
+                        })
+                    };
+                    match gate.admit(class, waker) {
+                        Admission::Queued(ticket) => {
+                            if pause {
                                 std::thread::yield_now();
-                                if let Some(waker) =
-                                    gate.cancel_ticket(QosClass::Scavenger, ticket, |_, _, _| {})
-                                {
-                                    waker(AdmitOutcome::Expired);
-                                }
                             }
-                            AsyncAdmission::Admitted(_) => {
-                                panic!("the slot is held for the whole race")
+                            if let Some(waker) = gate.cancel(class, ticket) {
+                                waker(AdmitOutcome::Expired);
                             }
-                            AsyncAdmission::Shed(_, waker) => waker(AdmitOutcome::Shutdown),
                         }
+                        Admission::Admitted(_) => panic!("the slot is held for the whole race"),
+                        Admission::Shed(_, waker) => waker()(AdmitOutcome::Shutdown),
                     }
-                })
-            };
-            // Critical arrivals preempt whatever Scavenger is queued.
-            let preemptor = {
-                let gate = Arc::clone(&gate);
-                let fired = Arc::clone(&fired);
-                scope.spawn(move || {
-                    for _ in 0..rounds {
-                        let fired = Arc::clone(&fired);
-                        match gate.admit_async(
-                            QosClass::Critical,
-                            Box::new(move |_| {
-                                fired.fetch_add(1, Ordering::SeqCst);
-                            }),
-                            |_, _, _| {},
-                        ) {
-                            AsyncAdmission::Queued(ticket) => {
-                                if let Some(waker) =
-                                    gate.cancel_ticket(QosClass::Critical, ticket, |_, _, _| {})
-                                {
-                                    waker(AdmitOutcome::Expired);
-                                }
-                            }
-                            AsyncAdmission::Admitted(_) => {
-                                panic!("the slot is held for the whole race")
-                            }
-                            AsyncAdmission::Shed(_, waker) => waker(AdmitOutcome::Shutdown),
-                        }
-                    }
-                })
-            };
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            // Scavengers queue and their tickets are cancelled
+            // concurrently; Critical arrivals preempt whatever Scavenger is
+            // queued.
+            let canceller = scope.spawn(contend(QosClass::Scavenger, true));
+            let preemptor = scope.spawn(contend(QosClass::Critical, false));
             canceller.join().unwrap();
             preemptor.join().unwrap();
         });
         // Every ticket's waker fired exactly once (cancelled, preempted,
-        // or shed) or is still queued; nothing double-fired or vanished.
-        let state = gate.state.lock().unwrap();
+        // or shed) or is still queued with its ticket; nothing
+        // double-fired or vanished.
+        let state = gate.lock();
         assert_eq!(state.in_flight, 1, "the held slot is still counted");
-        assert_eq!(
-            state.queued(),
-            state.wakers.len(),
-            "every queued ticket still owns exactly one waker"
-        );
         let queued = state.queued();
         drop(state);
         assert_eq!(
@@ -3571,21 +3469,46 @@ mod tests {
             2 * rounds,
             "each ticket resolved exactly once"
         );
-        drop(permit);
+        gate.release_slot();
     }
 
     /// An asynchronous submission is the same request as a blocking one:
-    /// same planning, same execution, same telemetry — bit-identical
-    /// response.
+    /// same resolution, admission, planning, execution, and response
+    /// assembly — bit-identical responses, over inputs that exercise each
+    /// shared step.
     #[test]
     fn submit_async_matches_blocking_submit_bit_for_bit() {
-        use crate::clock::VirtualClock;
+        use crate::clock::{VirtualClock, WorkerGuard};
 
-        let run = |blocking: bool| -> ServiceResponse {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Input {
+            Plain,
+            Quorum,
+            /// Critical class: its default deadline and requirement.
+            Critical,
+            /// A live requirement override the estimate violates.
+            AdvisoryOverride,
+            /// A second request (no deadline) queued behind a first one
+            /// held in flight by pinned virtual time.
+            QueuedBehindPinned,
+        }
+
+        let run = |blocking: bool, input: Input| -> Vec<ServiceResponse> {
             let clock = Arc::new(VirtualClock::new());
+            let mut script = script(10);
+            if input == Input::Quorum {
+                script.quorum = Some(2);
+            }
+            let config = match input {
+                Input::QueuedBehindPinned => GatewayConfig::builder()
+                    .max_in_flight(1)
+                    .admission_queue(4)
+                    .build(),
+                _ => GatewayConfig::default(),
+            };
             let gateway = Arc::new(Gateway::with_clock(
-                market_with(script(10)),
-                GatewayConfig::default(),
+                market_with(script),
+                config,
                 Arc::clone(&clock) as Arc<dyn Clock>,
             ));
             for (i, (cap, ms)) in [("read-temp", 2u64), ("est-temp", 3), ("loc-temp", 5)]
@@ -3602,19 +3525,78 @@ mod tests {
                         .build(),
                 );
             }
-            if blocking {
-                gateway.submit(Request::new("temp")).unwrap()
-            } else {
+            if input == Input::AdvisoryOverride {
                 gateway
-                    .submit_async(Request::new("temp"))
-                    .unwrap()
-                    .wait()
-                    .unwrap()
+                    .control()
+                    .set_requirement("temp", Requirements::new(0.01, 0.001, 0.9999).unwrap());
+            }
+            let request = || match input {
+                Input::Critical => Request::new("temp").class(QosClass::Critical),
+                _ => Request::new("temp"),
+            };
+            let queue_peak = || {
+                gateway
+                    .telemetry()
+                    .snapshot()
+                    .service("temp")
+                    .map_or(0, |s| s.admission_queue_peak)
+            };
+            match (input, blocking) {
+                (Input::QueuedBehindPinned, true) => {
+                    let pin = WorkerGuard::enter(&*clock);
+                    std::thread::scope(|scope| {
+                        let first = scope.spawn(|| gateway.submit(request()).unwrap());
+                        // Planning follows admission: once the slot is
+                        // planned, the first request holds the only slot.
+                        while gateway
+                            .telemetry()
+                            .snapshot()
+                            .service("temp")
+                            .map_or(0, |s| s.replans)
+                            < 1
+                        {
+                            std::thread::yield_now();
+                        }
+                        let second = scope.spawn(|| gateway.submit(request()).unwrap());
+                        while queue_peak() < 1 {
+                            std::thread::yield_now();
+                        }
+                        drop(pin);
+                        vec![first.join().unwrap(), second.join().unwrap()]
+                    })
+                }
+                (Input::QueuedBehindPinned, false) => {
+                    let (first, second) = {
+                        let _pin = WorkerGuard::enter(&*clock);
+                        let first = gateway.submit_async(request()).unwrap();
+                        let second = gateway.submit_async(request()).unwrap();
+                        assert_eq!(queue_peak(), 1, "the second request queued");
+                        (first, second)
+                    };
+                    vec![first.wait().unwrap(), second.wait().unwrap()]
+                }
+                (_, true) => vec![gateway.submit(request()).unwrap()],
+                (_, false) => vec![gateway.submit_async(request()).unwrap().wait().unwrap()],
             }
         };
-        let blocking = run(true);
-        let asynchronous = run(false);
-        assert_eq!(blocking, asynchronous);
+        for input in [
+            Input::Plain,
+            Input::Quorum,
+            Input::Critical,
+            Input::AdvisoryOverride,
+            Input::QueuedBehindPinned,
+        ] {
+            let blocking = run(true, input);
+            assert_eq!(blocking, run(false, input), "{input:?}");
+            let last = blocking.last().unwrap();
+            match input {
+                Input::Plain => {}
+                Input::Quorum => assert!(last.votes.is_some(), "quorum votes"),
+                Input::Critical => assert_eq!(last.class, QosClass::Critical),
+                Input::AdvisoryOverride => assert!(last.advisory.is_some(), "advisory raised"),
+                Input::QueuedBehindPinned => assert_eq!(blocking.len(), 2),
+            }
+        }
     }
 
     /// A queued asynchronous request whose deadline expires before a slot

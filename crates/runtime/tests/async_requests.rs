@@ -242,3 +242,129 @@ fn dropped_handles_do_not_leak_frames_or_clock_slots() {
     assert_eq!(stats.in_flight, 0);
     assert_eq!(stats.frames_live, 0);
 }
+
+/// Runs `body` on its own thread and fails if it does not finish in time,
+/// so a hang (a lost wake-up, a stuck drop) fails the test instead of
+/// stalling the suite.
+fn within_watchdog(body: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(()) => runner.join().unwrap(),
+        // The body panicked: re-raise its panic here.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("the gateway hung: a request or the drop never finished")
+        }
+    }
+}
+
+/// Bugfix regression and multi-loop coverage: with `event_loops` ≥ 2 the
+/// loops share one wake signal, and shutdown arms it once. The first loop
+/// to idle used to disarm it before seeing the shutdown flag, leaving a
+/// peer parked forever and `Gateway::drop` blocked joining it. Concurrent
+/// async submitters drive many short-lived gateways at 2 and 4 loops;
+/// every handle must resolve, the accounting must balance at quiescence,
+/// and every drop must finish.
+#[test]
+fn multi_loop_gateways_resolve_balance_and_drop() {
+    const SUBMITTERS: usize = 4;
+    const PER_SUBMITTER: usize = 10;
+    const SERVICES: [&str; 2] = ["a", "b"];
+
+    within_watchdog(|| {
+        for loops in [2, 4] {
+            for _ in 0..50 {
+                let clock = Arc::new(VirtualClock::new());
+                let config = GatewayConfig::builder()
+                    .event_loops(loops)
+                    .max_in_flight(4)
+                    .admission_queue(SUBMITTERS * PER_SUBMITTER)
+                    .build();
+                let gateway = Arc::new(Gateway::with_clock(
+                    market_with(SERVICES.iter().map(|s| script(s, 2)).collect()),
+                    config,
+                    Arc::clone(&clock) as Arc<dyn Clock>,
+                ));
+                for service in SERVICES {
+                    for arm in 0..2u64 {
+                        gateway.registry().register(
+                            SimulatedProvider::builder(
+                                format!("{service}-dev{arm}"),
+                                format!("{service}-cap{arm}"),
+                            )
+                            .cost(10.0)
+                            .latency(Duration::from_millis(1 + arm))
+                            .reliability(1.0)
+                            .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+                            .build(),
+                        );
+                    }
+                }
+
+                let responses: Vec<_> = std::thread::scope(|scope| {
+                    let submitters: Vec<_> = (0..SUBMITTERS)
+                        .map(|s| {
+                            let gateway = Arc::clone(&gateway);
+                            scope.spawn(move || {
+                                let handles: Vec<_> = (0..PER_SUBMITTER)
+                                    .map(|i| {
+                                        let service = SERVICES[(s + i) % SERVICES.len()];
+                                        gateway.submit_async(Request::new(service)).unwrap()
+                                    })
+                                    .collect();
+                                handles
+                                    .into_iter()
+                                    .map(|handle| handle.wait().unwrap())
+                                    .collect::<Vec<_>>()
+                            })
+                        })
+                        .collect();
+                    submitters
+                        .into_iter()
+                        .flat_map(|s| s.join().unwrap())
+                        .collect()
+                });
+                assert_eq!(responses.len(), SUBMITTERS * PER_SUBMITTER);
+                assert!(responses.iter().all(|r| r.success));
+
+                let snapshot = gateway.telemetry().snapshot();
+                let mut completed = 0;
+                for service in SERVICES {
+                    let svc = snapshot.service(service).unwrap();
+                    assert_eq!(svc.requests_shed, 0);
+                    assert_eq!(svc.deadline_exceeded, 0);
+                    assert_eq!(svc.admission_queue_depth, 0, "{service} queue drained");
+                    let class_requests: u64 = svc.classes.iter().map(|c| c.requests).sum();
+                    assert_eq!(class_requests, svc.latency_ms.count, "class rows sum");
+                    for class in &svc.classes {
+                        assert_eq!(class.queue_depth, 0, "{service}/{} drained", class.class);
+                    }
+                    completed += svc.latency_ms.count;
+                }
+                assert_eq!(completed, (SUBMITTERS * PER_SUBMITTER) as u64);
+
+                // A resolved handle may beat the core's cleanup of its
+                // request by a beat; the core must still drain to zero.
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                loop {
+                    let stats = gateway.engine_stats();
+                    if stats.in_flight == 0 && stats.frames_live == 0 {
+                        break;
+                    }
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "engine did not drain: {stats:?}"
+                    );
+                    std::thread::yield_now();
+                }
+                drop(gateway);
+            }
+        }
+    });
+}
